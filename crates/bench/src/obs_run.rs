@@ -145,6 +145,12 @@ pub fn observability_run(trace: Option<&str>, report: Option<&str>) -> std::io::
         .u64("lock_waits", stats.lock_waits)
         .u64("lock_wait_ns", stats.lock_wait_ns)
         .u64("critical_ns", stats.critical_ns)
+        // `null` when the run reached quiescence or halted; otherwise the
+        // eligible instantiations left at the stall guard.
+        .raw(
+            "stalled",
+            &stats.stalled.map_or("null".to_string(), |n| n.to_string()),
+        )
         .finish();
     let report_json = RunReport::new("all-engines", "obs-demo")
         .wall_ns(wall_ns)
@@ -268,6 +274,8 @@ mod tests {
         // concurrent section and the per-txn histogram in the metrics.
         assert!(json.contains("\"critical_ns\":"), "{json}");
         assert!(json.contains("\"critical_section_ns\":"), "{json}");
+        // The concurrent pass drains, so it reports no stall.
+        assert!(json.contains("\"stalled\":null"), "{json}");
         // EXPLAIN section: per-rule plans for every engine, with
         // estimated and actual cardinalities.
         assert!(json.contains("\"match_plans\":["), "{json}");

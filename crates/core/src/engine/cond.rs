@@ -1725,6 +1725,10 @@ impl MatchEngine for CondEngine {
         &self.conflict
     }
 
+    fn conflict_set_mut(&mut self) -> &mut ConflictSet {
+        &mut self.conflict
+    }
+
     fn space(&self) -> SpaceStats {
         let entries = self.pattern_count();
         let bytes: usize = self

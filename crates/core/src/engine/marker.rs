@@ -189,6 +189,10 @@ impl MatchEngine for MarkerEngine {
         &self.conflict
     }
 
+    fn conflict_set_mut(&mut self) -> &mut ConflictSet {
+        &mut self.conflict
+    }
+
     fn space(&self) -> SpaceStats {
         // Rule identifiers are tiny — the paper's space advantage.
         let entries: usize = self.markers.iter().map(Vec::len).sum();

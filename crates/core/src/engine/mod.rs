@@ -206,6 +206,10 @@ pub trait MatchEngine: Send {
     /// The current conflict set.
     fn conflict_set(&self) -> &ConflictSet;
 
+    /// Mutable conflict set: the executors record refraction on it
+    /// ([`ConflictSet::mark_fired`]); engines alone apply its deltas.
+    fn conflict_set_mut(&mut self) -> &mut ConflictSet;
+
     /// Match-structure space.
     fn space(&self) -> SpaceStats;
 

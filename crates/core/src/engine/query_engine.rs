@@ -180,6 +180,10 @@ impl MatchEngine for QueryEngine {
         &self.conflict
     }
 
+    fn conflict_set_mut(&mut self) -> &mut ConflictSet {
+        &mut self.conflict
+    }
+
     fn space(&self) -> SpaceStats {
         // "In terms of space, this algorithm is much better than the Rete
         // Network because no intermediate results are stored" — only the

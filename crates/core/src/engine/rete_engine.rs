@@ -90,6 +90,10 @@ impl MatchEngine for ReteEngine {
         self.net.conflict_set()
     }
 
+    fn conflict_set_mut(&mut self) -> &mut ConflictSet {
+        self.net.conflict_set_mut()
+    }
+
     fn space(&self) -> SpaceStats {
         SpaceStats {
             match_entries: self.net.stored_entries(),

@@ -77,6 +77,10 @@ pub struct ConcurrentStats {
     /// for every shard where at least one request blocked. Empty when the
     /// run never contended.
     pub shard_contention: Vec<(u32, u64, u64)>,
+    /// Set when the run gave up at the stall guard — rounds kept making
+    /// no progress on an unchanged candidate set — rather than reaching
+    /// quiescence: the number of eligible instantiations left unfired.
+    pub stalled: Option<usize>,
 }
 
 impl fmt::Display for ConcurrentStats {
@@ -84,7 +88,7 @@ impl fmt::Display for ConcurrentStats {
         write!(
             f,
             "committed={} aborts={} retries={} invalidated={} failed={} rounds={} \
-             lock_waits={} lock_wait_ms={:.3} critical_ms={:.3}{}",
+             lock_waits={} lock_wait_ms={:.3} critical_ms={:.3}{}{}",
             self.committed,
             self.deadlock_aborts,
             self.retries,
@@ -94,7 +98,9 @@ impl fmt::Display for ConcurrentStats {
             self.lock_waits,
             self.lock_wait_ns as f64 / 1e6,
             self.critical_ns as f64 / 1e6,
-            if self.halted { " halted" } else { "" }
+            if self.halted { " halted" } else { "" },
+            self.stalled
+                .map_or(String::new(), |n| format!(" stalled={n}"))
         )
     }
 }
@@ -239,12 +245,13 @@ impl ConcurrentExecutor {
         round: u64,
         commit_seq: &AtomicU64,
     ) -> TxnOutcome {
-        let (pdb, rules, tracer) = {
+        let (pdb, tracer) = {
             let g = engine.lock();
-            (g.pdb().clone(), g.pdb().rules().clone(), g.tracer().clone())
+            (g.pdb().clone(), g.tracer().clone())
         };
-        let rule = rules.rule(inst.rule).clone();
-        let pos_of = positive_positions(&rule);
+        let rules = pdb.rules();
+        let rule = rules.rule(inst.rule);
+        let pos_of = positive_positions(rule);
         let db = pdb.db().clone();
         let mut txn = db.begin();
         let txn_id = txn.id().0;
@@ -253,7 +260,7 @@ impl ConcurrentExecutor {
             rule: inst.rule.0 as u32,
             rule_name: rule.name.clone(),
         });
-        crate::exec::trace_derivation(&tracer, &rules, inst);
+        crate::exec::trace_derivation(&tracer, rules, inst);
         let mut wm_writes = 0usize;
         let outcome = (|| -> TxnOutcome {
             // 1. Re-select the matched tuples by content, with read locks.
@@ -346,7 +353,7 @@ impl ConcurrentExecutor {
 
             // 3. Apply the RHS under exclusive locks, remembering what
             //    actually happened for the maintenance phase.
-            let rhs = eval_rhs(&rules, inst);
+            let rhs = eval_rhs(rules, inst);
             let mut applied: Vec<(WmChange, TupleId)> = Vec::new();
             for change in &rhs.changes {
                 match change {
@@ -465,7 +472,7 @@ impl ConcurrentExecutor {
                 txn: txn_id,
                 rule: inst.rule.0 as u32,
                 rule_name: rule.name.clone(),
-                wmes: inst.wmes_display(&rules),
+                wmes: inst.wmes_display(rules),
                 support: inst.why.support_display(),
             });
             wm_writes = applied.len();
@@ -523,6 +530,19 @@ impl ConcurrentExecutor {
         outcome
     }
 
+    /// Snapshot Ψ_i: the conflict set's eligible (not yet fired)
+    /// instantiations, in arrival order. Refraction is the conflict set's
+    /// own fired flags, so it carries over across `run` calls and from a
+    /// sequential executor that handed over its engine.
+    fn snapshot(&self) -> Vec<Instantiation> {
+        self.engine
+            .lock()
+            .conflict_set()
+            .eligible()
+            .cloned()
+            .collect()
+    }
+
     /// Run rounds of parallel firing until quiescence, halt, or
     /// `max_fired` committed productions. With an installed
     /// [`ScheduleOracle`], replays the recorded schedule serially instead.
@@ -531,9 +551,6 @@ impl ConcurrentExecutor {
             return self.run_replay(max_fired);
         }
         let mut stats = ConcurrentStats::default();
-        // Refraction memory as a counted multiset: duplicate WMEs yield
-        // equal instantiations, each entitled to one firing.
-        let mut fired: HashMap<Instantiation, usize> = HashMap::new();
         // Deadlock victims awaiting a retry; lock-wait totals come from
         // the storage layer's counters, delta'd over this run.
         let mut deadlocked: Vec<Instantiation> = Vec::new();
@@ -550,22 +567,7 @@ impl ConcurrentExecutor {
         let base = db.stats().snapshot();
         let shard_base = db.lock_manager().shard_stats();
         while stats.committed < max_fired && !stats.halted {
-            // Snapshot Ψ_i: conflict set minus already-fired (refraction).
-            let mut candidates: Vec<Instantiation> = {
-                let g = self.engine.lock();
-                let mut remaining = fired.clone();
-                let mut out = Vec::new();
-                for inst in g.conflict_set().items() {
-                    if let Some(n) = remaining.get_mut(inst) {
-                        if *n > 0 {
-                            *n -= 1;
-                            continue;
-                        }
-                    }
-                    out.push(inst.clone());
-                }
-                out
-            };
+            let mut candidates = self.snapshot();
             if candidates.is_empty() {
                 break;
             }
@@ -651,6 +653,7 @@ impl ConcurrentExecutor {
             let executed = results.len();
             let mut round_committed = 0usize;
             let mut round_critical = 0u64;
+            let mut g = self.engine.lock();
             for (inst, outcome) in results {
                 match outcome {
                     TxnOutcome::Committed {
@@ -669,9 +672,11 @@ impl ConcurrentExecutor {
                         // self-consuming RHS (its own maintenance removed a
                         // copy of this instantiation) already retired the
                         // fired copy; any equal-content copies left behind
-                        // come from duplicate WMEs and may still fire.
+                        // come from duplicate WMEs and may still fire. A
+                        // copy that a racing transaction retired leaves
+                        // nothing to mark.
                         if !self_removed {
-                            *fired.entry(inst).or_insert(0) += 1;
+                            g.conflict_set_mut().mark_fired(&inst);
                         }
                     }
                     TxnOutcome::Invalid => {
@@ -694,6 +699,7 @@ impl ConcurrentExecutor {
                     }
                 }
             }
+            drop(g);
             stats.critical_ns += round_critical;
             let span_ns = round_start.elapsed().as_nanos() as u64;
             tracer.emit(|| Event::RoundSpan {
@@ -704,20 +710,6 @@ impl ConcurrentExecutor {
                 critical_ns: round_critical,
                 span_ns,
             });
-            // Keep refraction memory consistent with the conflict set:
-            // drop (or trim) entries whose instantiations left it.
-            {
-                let g = self.engine.lock();
-                let cs = g.conflict_set();
-                let mut cs_counts: HashMap<&Instantiation, usize> = HashMap::new();
-                for inst in cs.items() {
-                    *cs_counts.entry(inst).or_insert(0) += 1;
-                }
-                fired.retain(|inst, n| {
-                    *n = (*n).min(cs_counts.get(inst).copied().unwrap_or(0));
-                    *n > 0
-                });
-            }
             if round_committed > 0 || !repeated {
                 stalls = 0;
             } else {
@@ -728,6 +720,7 @@ impl ConcurrentExecutor {
                 // spinning forever.
                 stalls += 1;
                 if stalls >= 32 {
+                    stats.stalled = Some(self.engine.lock().conflict_set().eligible().count());
                     break;
                 }
                 std::thread::sleep(std::time::Duration::from_micros(50u64 << stalls.min(8)));
@@ -770,7 +763,6 @@ impl ConcurrentExecutor {
     /// [`ConcurrentStats::divergence`] set.
     fn run_replay(&mut self, max_fired: usize) -> ConcurrentStats {
         let mut stats = ConcurrentStats::default();
-        let mut fired: HashMap<Instantiation, usize> = HashMap::new();
         let tracer = self.engine.lock().tracer().clone();
         let rules = self.engine.lock().pdb().rules().clone();
         let base = self.engine.lock().pdb().db().stats().snapshot();
@@ -779,22 +771,7 @@ impl ConcurrentExecutor {
             else {
                 break; // schedule fully replayed
             };
-            let candidates: Vec<Instantiation> = {
-                let g = self.engine.lock();
-                let mut remaining = fired.clone();
-                let mut out = Vec::new();
-                for inst in g.conflict_set().items() {
-                    if let Some(n) = remaining.get_mut(inst) {
-                        if *n > 0 {
-                            *n -= 1;
-                            continue;
-                        }
-                    }
-                    out.push(inst.clone());
-                }
-                out
-            };
-            let Some(inst) = candidates.into_iter().find(|inst| {
+            let Some(inst) = self.snapshot().into_iter().find(|inst| {
                 rules.rule(inst.rule).name == want_rule && inst.wmes_display(&rules) == want_wmes
             }) else {
                 stats.divergence = Some(format!(
@@ -823,7 +800,7 @@ impl ConcurrentExecutor {
                     round_critical = critical_ns;
                     stats.critical_ns += critical_ns;
                     if !self_removed {
-                        *fired.entry(inst).or_insert(0) += 1;
+                        self.engine.lock().conflict_set_mut().mark_fired(&inst);
                     }
                     self.oracle.as_mut().expect("oracle installed").advance();
                 }
@@ -861,18 +838,6 @@ impl ConcurrentExecutor {
                 critical_ns: round_critical,
                 span_ns,
             });
-            {
-                let g = self.engine.lock();
-                let cs = g.conflict_set();
-                let mut cs_counts: HashMap<&Instantiation, usize> = HashMap::new();
-                for inst in cs.items() {
-                    *cs_counts.entry(inst).or_insert(0) += 1;
-                }
-                fired.retain(|inst, n| {
-                    *n = (*n).min(cs_counts.get(inst).copied().unwrap_or(0));
-                    *n > 0
-                });
-            }
             if stats.divergence.is_some() {
                 break;
             }
@@ -1136,6 +1101,35 @@ mod tests {
         let stats = ex.run(100);
         assert!(stats.halted);
         assert_eq!(stats.committed, 1);
+    }
+
+    /// A WM tuple deleted behind the engine's back leaves a stale
+    /// instantiation that re-selects as invalid every round. The stall
+    /// guard ends the run and says so instead of passing for quiescence.
+    #[test]
+    fn stall_guard_reports_what_is_left() {
+        let src = r#"
+            (literalize A x)
+            (literalize Log x)
+            (p Note (A ^x <V>) --> (make Log ^x <V>))
+        "#;
+        let mut ex = setup(src, EngineKind::Rete);
+        {
+            let eng = ex.engine();
+            let mut g = eng.lock();
+            g.insert(ClassId(0), tuple![1]);
+            g.pdb().remove_wm_equal(ClassId(0), &tuple![1]).unwrap();
+        }
+        let stats = ex.run(100);
+        assert_eq!(stats.committed, 0);
+        assert_eq!(stats.stalled, Some(1), "{stats}");
+        assert!(stats.invalidated >= 32, "{stats}");
+        assert!(stats.to_string().ends_with(" stalled=1"), "{stats}");
+
+        // A run that drains reports no stall.
+        let mut ex = setup(COUNTER_RULES, EngineKind::Rete);
+        ex.engine().lock().insert(ClassId(0), tuple![1]);
+        assert_eq!(ex.run(100).stalled, None);
     }
 
     /// Firing keys `(rule_name, wmes)` in commit order, from a ring of

@@ -1,11 +1,12 @@
 //! The OPS5 recognize-act cycle: Match → Select → Act, one production per
 //! cycle (§2.1). Refraction (an instantiation never fires twice while it
-//! stays in the conflict set) prevents trivial infinite loops.
+//! stays in the conflict set) prevents trivial infinite loops; the
+//! engine's [`rete::ConflictSet`] records it as a fired flag per entry.
 
 use std::time::Instant;
 
 use obs::Event;
-use rete::{ConflictDelta, Instantiation};
+use rete::Instantiation;
 
 use crate::engine::MatchEngine;
 use crate::exec::{eval_rhs, WmChange};
@@ -28,8 +29,6 @@ pub struct RunOutcome {
 pub struct SequentialExecutor {
     engine: Box<dyn MatchEngine>,
     strategy: Strategy,
-    /// Refraction memory: instantiations already fired (multiset).
-    fired: Vec<Instantiation>,
     /// Recognize-act cycles executed over the executor's lifetime.
     cycle: u64,
 }
@@ -40,7 +39,6 @@ impl SequentialExecutor {
         SequentialExecutor {
             engine,
             strategy,
-            fired: Vec::new(),
             cycle: 0,
         }
     }
@@ -61,27 +59,14 @@ impl SequentialExecutor {
         self.engine
     }
 
-    /// Keep the refraction memory consistent with conflict-set removals.
-    fn absorb(&mut self, deltas: &[ConflictDelta]) {
-        for d in deltas {
-            if let ConflictDelta::Remove(inst) = d {
-                if let Some(pos) = self.fired.iter().position(|f| f == inst) {
-                    self.fired.remove(pos);
-                }
-            }
-        }
-    }
-
     /// Insert a WM element (runs matching; does not fire rules).
     pub fn insert(&mut self, class: ops5::ClassId, tuple: relstore::Tuple) {
-        let deltas = self.engine.insert(class, tuple);
-        self.absorb(&deltas);
+        self.engine.insert(class, tuple);
     }
 
     /// Remove a WM element by content.
     pub fn remove(&mut self, class: ops5::ClassId, tuple: &relstore::Tuple) {
-        let deltas = self.engine.remove(class, tuple);
-        self.absorb(&deltas);
+        self.engine.remove(class, tuple);
     }
 
     /// Insert many WM elements of one class as a single delta set: all
@@ -93,26 +78,12 @@ impl SequentialExecutor {
         obs::prof_span!("exec.load");
         let changes: Vec<(bool, ops5::ClassId, relstore::Tuple)> =
             tuples.into_iter().map(|t| (true, class, t)).collect();
-        let deltas = self.engine.apply_delta(&changes);
-        self.absorb(&deltas);
+        self.engine.apply_delta(&changes);
     }
 
     /// Instantiations eligible to fire (in conflict set, not yet fired).
     pub fn candidates(&self) -> Vec<Instantiation> {
-        let mut remaining: Vec<Option<&Instantiation>> = self.fired.iter().map(Some).collect();
-        let mut out = Vec::new();
-        'outer: for inst in self.engine.conflict_set().items() {
-            for slot in remaining.iter_mut() {
-                if let Some(f) = slot {
-                    if *f == inst {
-                        *slot = None;
-                        continue 'outer;
-                    }
-                }
-            }
-            out.push(inst.clone());
-        }
-        out
+        self.engine.conflict_set().eligible().cloned().collect()
     }
 
     /// Run one recognize-act cycle. Returns the fired instantiation, or
@@ -120,15 +91,14 @@ impl SequentialExecutor {
     pub fn step(&mut self) -> Option<(Instantiation, bool, Vec<String>)> {
         obs::prof_span!("exec.step");
         let cycle = self.cycle;
-        let candidates = self.candidates();
-        if candidates.is_empty() {
+        let eligible: Vec<&Instantiation> = self.engine.conflict_set().eligible().collect();
+        if eligible.is_empty() {
             return None;
         }
         let tracer = self.engine.tracer().clone();
         tracer.emit(|| Event::CycleStart { cycle });
-        let refs: Vec<&Instantiation> = candidates.iter().collect();
-        let pick = self.strategy.pick(self.engine.pdb().rules(), &refs);
-        let inst = candidates[pick].clone();
+        let pick = self.strategy.pick(self.engine.pdb().rules(), &eligible);
+        let inst = eligible[pick].clone();
         let conflict_len = self.engine.conflict_set().len();
         let rule_name = self.engine.pdb().rules().rule(inst.rule).name.clone();
         tracer.emit(|| Event::RuleSelect {
@@ -138,10 +108,9 @@ impl SequentialExecutor {
             conflict_len,
         });
         crate::exec::trace_derivation(&tracer, self.engine.pdb().rules(), &inst);
-        self.fired.push(inst.clone());
-        let rules = self.engine.pdb().rules().clone();
+        self.engine.conflict_set_mut().mark_fired(&inst);
         let start = tracer.enabled().then(Instant::now);
-        let rhs = eval_rhs(&rules, &inst);
+        let rhs = eval_rhs(self.engine.pdb().rules(), &inst);
         let (mut inserts, mut removes) = (0usize, 0usize);
         // Apply the cycle's whole RHS as one delta set and let the engine
         // maintain it in a single batched pass (§4.2). Traced runs get the
@@ -160,8 +129,7 @@ impl SequentialExecutor {
                 }
             })
             .collect();
-        let deltas = self.engine.apply_delta(&changes);
-        self.absorb(&deltas);
+        self.engine.apply_delta(&changes);
         // The journal's commit record: under sequential execution the
         // firing sequence IS the cycle sequence (txn 0 marks "no §5
         // transaction").
@@ -171,7 +139,7 @@ impl SequentialExecutor {
             txn: 0,
             rule: inst.rule.0 as u32,
             rule_name: rule_name.clone(),
-            wmes: inst.wmes_display(&rules),
+            wmes: inst.wmes_display(self.engine.pdb().rules()),
             support: inst.why.support_display(),
         });
         if let Some(start) = start {

@@ -209,6 +209,11 @@ impl DbReteNetwork {
         &self.conflict
     }
 
+    /// Mutable conflict set, for the executor's refraction marks.
+    pub fn conflict_set_mut(&mut self) -> &mut ConflictSet {
+        &mut self.conflict
+    }
+
     /// Tuples stored in LEFT and RIGHT relations — the paper's redundancy
     /// metric for this design.
     pub fn stored_entries(&self) -> usize {

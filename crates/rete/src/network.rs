@@ -113,6 +113,11 @@ impl ReteNetwork {
         &self.conflict
     }
 
+    /// Mutable conflict set, for the executor's refraction marks.
+    pub fn conflict_set_mut(&mut self) -> &mut ConflictSet {
+        &mut self.conflict
+    }
+
     /// Metrics of the most recent insert/remove.
     pub fn last_metrics(&self) -> OpMetrics {
         self.metrics

@@ -96,6 +96,46 @@ fn replays_checked_in_flake_fixture() {
     assert_eq!(out.mode, "concurrent");
 }
 
+/// A rule that leaves its match in place: refraction alone stops it.
+const NOTE: &str = r#"
+    (literalize A x)
+    (literalize Log x)
+    (p Note (A ^x <V>) --> (make Log ^x <V>))
+"#;
+
+/// Regression: refraction lives in the engine's conflict set, so a
+/// sequential run's firings stay fired after the engine is handed to the
+/// concurrent executor. The sequential `fired` memory used to be dropped
+/// at the handover and the concurrent run committed `Note` again.
+#[test]
+fn refraction_survives_into_concurrent() {
+    for kind in EngineKind::ALL {
+        let mut sys = prodsys::ProductionSystem::from_source(NOTE, kind, Strategy::Fifo).unwrap();
+        sys.insert("A", tuple![1]).unwrap();
+        assert_eq!(sys.run(100).fired, 1, "{}", kind.label());
+        let mut exec = sys.into_concurrent(2);
+        let stats = exec.run(100);
+        assert_eq!(stats.committed, 0, "{}: already fired", kind.label());
+        assert_eq!(exec.engine().lock().pdb().wm_len(ClassId(1)), 1);
+    }
+}
+
+/// Regression: the concurrent executor's refraction memory used to be a
+/// local of `run`, so a second `run` call re-fired the first run's
+/// firings.
+#[test]
+fn refraction_survives_a_second_run() {
+    for kind in EngineKind::ALL {
+        let rules = ops5::compile(NOTE).unwrap();
+        let mut engine = make_engine(kind, ProductionDb::new(rules).unwrap());
+        engine.insert(ClassId(0), tuple![1]);
+        let mut exec = ConcurrentExecutor::new(engine, 2);
+        assert_eq!(exec.run(100).committed, 1, "{}", kind.label());
+        assert_eq!(exec.run(100).committed, 0, "{}: no refiring", kind.label());
+        assert_eq!(exec.engine().lock().pdb().wm_len(ClassId(1)), 1);
+    }
+}
+
 /// Maintenance helper — regenerate the fixture after a schema change:
 /// `cargo test --test concurrent_equivalence -- --ignored regenerate`
 #[test]
