@@ -11,8 +11,8 @@ use std::time::Instant;
 use obs::json::Obj;
 use obs::{Event, RunReport, Sink, Tracer};
 use prodsys::{
-    make_engine, plans_to_json, ClassId, ConcurrentExecutor, ConcurrentStats, EngineKind,
-    MatchPlan, ProductionDb, ProductionSystem, Strategy,
+    make_engine, plans_to_json, ClassId, ConcurrentExecutor, ConcurrentStats, EndReason,
+    EngineKind, MatchPlan, ProductionDb, ProductionSystem, Strategy,
 };
 use relstore::tuple;
 use workload::paper;
@@ -111,7 +111,7 @@ pub fn observability_run(trace: Option<&str>, report: Option<&str>) -> std::io::
         plans.extend(sys.engine().match_plan());
         let out = sys.run(10_000);
         fired += out.fired as u64;
-        halted |= out.halted;
+        halted |= out.end == EndReason::Halted;
         if kind == EngineKind::Query {
             // ANALYZE the query engine's database after its run: its
             // executor is the one feeding the observed selectivities.
@@ -145,17 +145,21 @@ pub fn observability_run(trace: Option<&str>, report: Option<&str>) -> std::io::
         .u64("lock_waits", stats.lock_waits)
         .u64("lock_wait_ns", stats.lock_wait_ns)
         .u64("critical_ns", stats.critical_ns)
-        // `null` when the run reached quiescence or halted; otherwise the
-        // eligible instantiations left at the stall guard.
+        .str("end", stats.end.label())
+        // `null` unless the run gave up at the stall guard; then the
+        // eligible instantiations it left unfired.
         .raw(
             "stalled",
-            &stats.stalled.map_or("null".to_string(), |n| n.to_string()),
+            &match stats.end {
+                EndReason::Stalled { remaining } => remaining.to_string(),
+                _ => "null".to_string(),
+            },
         )
         .finish();
     let report_json = RunReport::new("all-engines", "obs-demo")
         .wall_ns(wall_ns)
         .fired(fired)
-        .halted(halted || stats.halted)
+        .halted(halted || stats.end == EndReason::Halted)
         .section("concurrent", concurrent)
         .section("profile", profile.to_json())
         .section("match_plans", plans_to_json(&plans))

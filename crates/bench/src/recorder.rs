@@ -14,8 +14,8 @@ use std::collections::BTreeMap;
 
 use obs::{Event, Journal, JournalMeta, LoadOp, LoadValue, Sink, Tracer};
 use prodsys::{
-    make_engine, ClassId, ConcurrentExecutor, EngineKind, ProductionDb, ProductionSystem,
-    ScheduleOracle, Strategy,
+    make_engine, ClassId, ConcurrentExecutor, EndReason, EngineKind, ProductionDb,
+    ProductionSystem, ScheduleOracle, Strategy,
 };
 use relstore::{CompOp, QueryExecutor, Restriction, Selection, Tuple, Value};
 
@@ -218,7 +218,7 @@ pub fn replay_run(path: &str) -> Result<ReplayOutcome, String> {
         let mut exec = ConcurrentExecutor::new(engine, meta.workers.max(1));
         exec.set_oracle(ScheduleOracle::new(expected_keys.clone()));
         let stats = exec.run(meta.max_fired as usize);
-        if let Some(d) = stats.divergence {
+        if let EndReason::Diverged(d) = stats.end {
             return Err(d);
         }
         let keys = firing_keys_of(&tracer.ring_events().unwrap_or_default());
@@ -414,7 +414,7 @@ pub fn why_not_run(path: &str, spec: &str) -> Result<String, String> {
     let mut exec = ConcurrentExecutor::new(engine, 1);
     exec.set_oracle(ScheduleOracle::new(keys));
     let stats = exec.run(budget);
-    if let Some(d) = stats.divergence {
+    if let EndReason::Diverged(d) = stats.end {
         return Err(format!("could not reconstruct WM as of round {round}: {d}"));
     }
 

@@ -35,7 +35,7 @@ use relstore::{Error, Restriction, Selection, Tuple, TupleId};
 use rete::Instantiation;
 
 use crate::engine::{trace_batch, MatchEngine, WmDelta};
-use crate::exec::{eval_rhs, positive_positions, WmChange};
+use crate::exec::{eval_rhs, positive_positions, EndReason, WmChange};
 
 /// Statistics from a concurrent run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -65,22 +65,14 @@ pub struct ConcurrentStats {
     /// section for their pre-commit maintenance pass — the serialized
     /// fraction of the run.
     pub critical_ns: u64,
-    /// `(halt)` executed by some production.
-    pub halted: bool,
+    /// Why the run stopped.
+    pub end: EndReason,
     /// `write` output (order nondeterministic across transactions).
     pub writes: Vec<String>,
-    /// Set when an oracle-driven replay could not follow the recorded
-    /// schedule: the step it stopped at and why. `None` for live runs and
-    /// for replays that reproduced every recorded firing.
-    pub divergence: Option<String>,
     /// Per-lock-shard contention over this run, `(shard, waits, wait_ns)`
     /// for every shard where at least one request blocked. Empty when the
     /// run never contended.
     pub shard_contention: Vec<(u32, u64, u64)>,
-    /// Set when the run gave up at the stall guard — rounds kept making
-    /// no progress on an unchanged candidate set — rather than reaching
-    /// quiescence: the number of eligible instantiations left unfired.
-    pub stalled: Option<usize>,
 }
 
 impl fmt::Display for ConcurrentStats {
@@ -88,7 +80,7 @@ impl fmt::Display for ConcurrentStats {
         write!(
             f,
             "committed={} aborts={} retries={} invalidated={} failed={} rounds={} \
-             lock_waits={} lock_wait_ms={:.3} critical_ms={:.3}{}{}",
+             lock_waits={} lock_wait_ms={:.3} critical_ms={:.3}{}",
             self.committed,
             self.deadlock_aborts,
             self.retries,
@@ -98,9 +90,11 @@ impl fmt::Display for ConcurrentStats {
             self.lock_waits,
             self.lock_wait_ns as f64 / 1e6,
             self.critical_ns as f64 / 1e6,
-            if self.halted { " halted" } else { "" },
-            self.stalled
-                .map_or(String::new(), |n| format!(" stalled={n}"))
+            match &self.end {
+                EndReason::Halted => " halted".to_string(),
+                EndReason::Stalled { remaining } => format!(" stalled={remaining}"),
+                _ => String::new(),
+            }
         )
     }
 }
@@ -110,26 +104,23 @@ impl fmt::Display for ConcurrentStats {
 pub struct ConcurrentExecutor {
     engine: Arc<Mutex<Box<dyn MatchEngine>>>,
     workers: usize,
-    /// Set-oriented worker transactions: batched step-1 re-selection and
-    /// whatever batch strategy the engine itself supports. Off pins the
-    /// historical per-condition-element baseline.
-    batching: bool,
     /// Global commit sequence, threaded into every transaction: the
     /// number is taken while the transaction still holds its locks, so
     /// for conflicting transactions it is the serialization order.
     /// Persists across `run` calls so journal firing sequences never
     /// repeat within one executor's trace.
     next_seq: AtomicU64,
-    /// When set, `run` replays the recorded schedule instead of racing
-    /// workers (see [`ScheduleOracle`]).
+    /// When set, `run` admits only the recorded schedule's next firing
+    /// each round (see [`ScheduleOracle`]).
     oracle: Option<ScheduleOracle>,
 }
 
 /// A recorded commit schedule: `(rule_name, wmes)` keys in commit-`seq`
 /// order, taken from a journal's `Firing` events. Installed on a
 /// [`ConcurrentExecutor`] via [`ConcurrentExecutor::set_oracle`], it
-/// replaces live worker racing with a serial re-execution that fires the
-/// recorded instantiations in the recorded serialization order —
+/// filters every round of `run` down to the one eligible instantiation
+/// the schedule fires next, so the live loop re-executes the recorded
+/// serialization order serially —
 /// committed transactions' firing sequence and final WM are reproduced
 /// exactly (non-conflicting transactions commute; conflicting ones were
 /// ordered by their lock conflicts, which the `seq` capture point
@@ -194,14 +185,13 @@ impl ConcurrentExecutor {
         ConcurrentExecutor {
             engine: Arc::new(Mutex::new(engine)),
             workers: workers.max(1),
-            batching: true,
             next_seq: AtomicU64::new(0),
             oracle: None,
         }
     }
 
-    /// Install a recorded commit schedule: the next `run` replays it
-    /// serially instead of racing live workers.
+    /// Install a recorded commit schedule: later `run`s replay it one
+    /// firing per round instead of racing live workers.
     pub fn set_oracle(&mut self, oracle: ScheduleOracle) {
         self.oracle = Some(oracle);
     }
@@ -211,19 +201,9 @@ impl ConcurrentExecutor {
         self.engine.clone()
     }
 
-    /// Toggle set-oriented evaluation end-to-end: the worker transactions'
-    /// batched step-1 re-selection *and* the engine's own batch strategy
-    /// (see [`MatchEngine::set_batching`]). On by default; benchmarks pin
-    /// `false` to reproduce the tuple-at-a-time baseline.
+    /// Toggle the engine's batch strategy (see [`MatchEngine::set_batching`]).
     pub fn set_batching(&mut self, on: bool) {
-        self.batching = on;
         self.engine.lock().set_batching(on);
-    }
-
-    /// Toggle the σ-binding hash index over matching patterns where the
-    /// engine keeps one (see [`MatchEngine::set_pattern_index`]).
-    pub fn set_pattern_index(&mut self, on: bool) {
-        self.engine.lock().set_pattern_index(on);
     }
 
     /// Install a tracing/metrics handle on the engine and the storage
@@ -241,7 +221,6 @@ impl ConcurrentExecutor {
     fn run_one(
         engine: &Arc<Mutex<Box<dyn MatchEngine>>>,
         inst: &Instantiation,
-        batching: bool,
         round: u64,
         commit_seq: &AtomicU64,
     ) -> TxnOutcome {
@@ -266,66 +245,35 @@ impl ConcurrentExecutor {
             // 1. Re-select the matched tuples by content, with read locks.
             //    Duplicate WMEs need distinct tuple ids *within a class*
             //    (tuple ids are per-relation, so equal ids of different
-            //    classes are unrelated rows). Set-oriented mode groups the
-            //    rule's positive CEs by class and re-selects each class in
-            //    one batched pass (one read, one lock sweep, one liveness
-            //    re-read) instead of a select per CE.
+            //    classes are unrelated rows). The rule's positive CEs are
+            //    grouped by class and each class is re-selected in one
+            //    batched pass (one read, one lock sweep, one liveness
+            //    re-read).
             let mut claimed: Vec<(usize, ClassId, TupleId)> = Vec::new(); // (positive pos, class, tid)
-            if batching {
-                let mut by_class: Vec<(ClassId, Vec<usize>)> = Vec::new(); // positions per class
-                for (i, ce) in rule.ces.iter().enumerate() {
-                    if ce.negated {
-                        continue;
-                    }
-                    let pos = pos_of[i].expect("positive");
-                    match by_class.iter_mut().find(|(c, _)| *c == ce.class) {
-                        Some((_, poses)) => poses.push(pos),
-                        None => by_class.push((ce.class, vec![pos])),
-                    }
+            let mut by_class: Vec<(ClassId, Vec<usize>)> = Vec::new(); // positions per class
+            for (i, ce) in rule.ces.iter().enumerate() {
+                if ce.negated {
+                    continue;
                 }
-                for (class, poses) in by_class {
-                    let keys: Vec<Tuple> =
-                        poses.iter().map(|&p| inst.wmes[p].tuple.clone()).collect();
-                    let groups = match txn.select_eq_batch(pdb.class_rel(class), &keys) {
-                        Ok(groups) => groups,
-                        Err(Error::Deadlock(_)) => return TxnOutcome::Deadlock,
-                        Err(e) => return TxnOutcome::Failed(e),
-                    };
-                    for (&pos, rows) in poses.iter().zip(&groups) {
-                        let free = rows.iter().find(|(tid, _)| {
-                            !claimed.iter().any(|(_, c, t)| *c == class && t == tid)
-                        });
-                        match free {
-                            Some((tid, _)) => claimed.push((pos, class, *tid)),
-                            None => return TxnOutcome::Invalid,
-                        }
-                    }
+                let pos = pos_of[i].expect("positive");
+                match by_class.iter_mut().find(|(c, _)| *c == ce.class) {
+                    Some((_, poses)) => poses.push(pos),
+                    None => by_class.push((ce.class, vec![pos])),
                 }
-            } else {
-                for (i, ce) in rule.ces.iter().enumerate() {
-                    if ce.negated {
-                        continue;
-                    }
-                    let pos = pos_of[i].expect("positive");
-                    let wme = &inst.wmes[pos];
-                    let full_eq = Restriction::new(
-                        wme.tuple
-                            .values()
-                            .iter()
-                            .enumerate()
-                            .map(|(a, v)| Selection::eq(a, v.clone()))
-                            .collect(),
-                    );
-                    let rows = match txn.select(pdb.class_rel(ce.class), &full_eq) {
-                        Ok(rows) => rows,
-                        Err(Error::Deadlock(_)) => return TxnOutcome::Deadlock,
-                        Err(e) => return TxnOutcome::Failed(e),
-                    };
-                    let free = rows.iter().find(|(tid, _)| {
-                        !claimed.iter().any(|(_, c, t)| *c == ce.class && t == tid)
-                    });
+            }
+            for (class, poses) in by_class {
+                let keys: Vec<Tuple> = poses.iter().map(|&p| inst.wmes[p].tuple.clone()).collect();
+                let groups = match txn.select_eq_batch(pdb.class_rel(class), &keys) {
+                    Ok(groups) => groups,
+                    Err(Error::Deadlock(_)) => return TxnOutcome::Deadlock,
+                    Err(e) => return TxnOutcome::Failed(e),
+                };
+                for (&pos, rows) in poses.iter().zip(&groups) {
+                    let free = rows
+                        .iter()
+                        .find(|(tid, _)| !claimed.iter().any(|(_, c, t)| *c == class && t == tid));
                     match free {
-                        Some((tid, _)) => claimed.push((pos, ce.class, *tid)),
+                        Some((tid, _)) => claimed.push((pos, class, *tid)),
                         None => return TxnOutcome::Invalid,
                     }
                 }
@@ -545,11 +493,11 @@ impl ConcurrentExecutor {
 
     /// Run rounds of parallel firing until quiescence, halt, or
     /// `max_fired` committed productions. With an installed
-    /// [`ScheduleOracle`], replays the recorded schedule serially instead.
+    /// [`ScheduleOracle`], each round is filtered down to the recorded
+    /// next firing, which makes the same loop a serial replay: locking,
+    /// maintenance-before-commit and refraction are those of a live run;
+    /// only the racing is gone.
     pub fn run(&mut self, max_fired: usize) -> ConcurrentStats {
-        if self.oracle.is_some() {
-            return self.run_replay(max_fired);
-        }
         let mut stats = ConcurrentStats::default();
         // Deadlock victims awaiting a retry; lock-wait totals come from
         // the storage layer's counters, delta'd over this run.
@@ -566,10 +514,34 @@ impl ConcurrentExecutor {
         let db = pdb.db().clone();
         let base = db.stats().snapshot();
         let shard_base = db.lock_manager().shard_stats();
-        while stats.committed < max_fired && !stats.halted {
+        stats.end = loop {
             let mut candidates = self.snapshot();
+            // The firing budget, or a fully replayed schedule, ends the
+            // run; it only counts as `Budget` if it cut something off.
+            if stats.committed >= max_fired
+                || self.oracle.as_ref().is_some_and(|o| o.remaining() == 0)
+            {
+                break if candidates.is_empty() {
+                    EndReason::Quiescent
+                } else {
+                    EndReason::Budget
+                };
+            }
+            if let Some((rule, wmes)) = self.oracle.as_ref().and_then(ScheduleOracle::peek) {
+                let rules = pdb.rules();
+                let recorded = candidates.into_iter().find(|inst| {
+                    rules.rule(inst.rule).name == *rule && inst.wmes_display(rules) == *wmes
+                });
+                let Some(inst) = recorded else {
+                    break EndReason::Diverged(format!(
+                        "replay diverged at firing {}: no eligible instantiation for {rule}: {wmes}",
+                        stats.committed
+                    ));
+                };
+                candidates = vec![inst];
+            }
             if candidates.is_empty() {
-                break;
+                break EndReason::Quiescent;
             }
             stats.retries += prune_deadlocked(&mut deadlocked, &candidates);
             let fingerprint = {
@@ -616,10 +588,10 @@ impl ConcurrentExecutor {
             // locks and must release cleanly), but queued ones stay
             // unexecuted.
             let halt_flag = Arc::new(AtomicBool::new(false));
-            let batching = self.batching;
             let commit_seq = &self.next_seq;
             crossbeam::thread::scope(|scope| {
-                for w in 0..self.workers {
+                // No more workers than candidates: a replay round has one.
+                for w in 0..self.workers.min(dispatched) {
                     let queues = queues.clone();
                     let results = results.clone();
                     let engine = self.engine.clone();
@@ -638,7 +610,7 @@ impl ConcurrentExecutor {
                         let Some(inst) = inst else {
                             break;
                         };
-                        let outcome = Self::run_one(&engine, &inst, batching, round, commit_seq);
+                        let outcome = Self::run_one(&engine, &inst, round, commit_seq);
                         if let TxnOutcome::Committed { halt: true, .. } = &outcome {
                             halt_flag.store(true, Ordering::Relaxed);
                         }
@@ -653,9 +625,12 @@ impl ConcurrentExecutor {
             let executed = results.len();
             let mut round_committed = 0usize;
             let mut round_critical = 0u64;
+            let mut halted = false;
+            // Why the round's last aborted transaction did not commit.
+            let mut aborted: Option<String> = None;
             let mut g = self.engine.lock();
             for (inst, outcome) in results {
-                match outcome {
+                aborted = Some(match outcome {
                     TxnOutcome::Committed {
                         halt,
                         writes,
@@ -664,7 +639,7 @@ impl ConcurrentExecutor {
                     } => {
                         stats.committed += 1;
                         stats.writes.extend(writes);
-                        stats.halted |= halt;
+                        halted |= halt;
                         round_committed += 1;
                         round_critical += critical_ns;
                         // Refraction charges a firing only while the fired
@@ -678,17 +653,20 @@ impl ConcurrentExecutor {
                         if !self_removed {
                             g.conflict_set_mut().mark_fired(&inst);
                         }
+                        continue;
                     }
                     TxnOutcome::Invalid => {
                         stats.invalidated += 1;
                         // The maintenance process will have removed it
                         // from the conflict set; if not (it was valid when
                         // snapshotted), the next snapshot sees the truth.
+                        "re-selected as invalid".to_string()
                     }
                     TxnOutcome::Deadlock => {
                         stats.deadlock_aborts += 1;
                         // Retried next round if still applicable.
                         deadlocked.push(inst);
+                        "hit a deadlock".to_string()
                     }
                     TxnOutcome::Failed(e) => {
                         stats.failed += 1;
@@ -696,20 +674,36 @@ impl ConcurrentExecutor {
                         // The transaction rolled back; the instantiation is
                         // not marked fired, so the next snapshot retries it
                         // if it is still applicable.
+                        format!("failed: {e}")
                     }
-                }
+                });
             }
             drop(g);
             stats.critical_ns += round_critical;
             let span_ns = round_start.elapsed().as_nanos() as u64;
             tracer.emit(|| Event::RoundSpan {
-                round: stats.rounds as u64,
+                round,
                 candidates: dispatched,
                 committed: round_committed,
                 aborted: executed - round_committed,
                 critical_ns: round_critical,
                 span_ns,
             });
+            // A replay round runs only the recorded firing: it commits and
+            // the schedule moves on, or the replay has diverged.
+            if let Some(oracle) = &mut self.oracle {
+                if let Some(why) = aborted {
+                    let (rule, wmes) = oracle.peek().expect("this round's recorded firing");
+                    break EndReason::Diverged(format!(
+                        "replay diverged at firing {}: {rule}: {wmes} {why}",
+                        stats.committed
+                    ));
+                }
+                oracle.advance();
+            }
+            if halted {
+                break EndReason::Halted;
+            }
             if round_committed > 0 || !repeated {
                 stalls = 0;
             } else {
@@ -720,12 +714,12 @@ impl ConcurrentExecutor {
                 // spinning forever.
                 stalls += 1;
                 if stalls >= 32 {
-                    stats.stalled = Some(self.engine.lock().conflict_set().eligible().count());
-                    break;
+                    let remaining = self.engine.lock().conflict_set().eligible().count();
+                    break EndReason::Stalled { remaining };
                 }
                 std::thread::sleep(std::time::Duration::from_micros(50u64 << stalls.min(8)));
             }
-        }
+        };
         let delta = db.stats().snapshot().since(&base);
         stats.lock_waits = delta.lock_waits;
         stats.lock_wait_ns = delta.lock_wait_ns;
@@ -749,109 +743,6 @@ impl ConcurrentExecutor {
                 });
             }
         }
-        stats
-    }
-
-    /// Deterministic replay: fire the oracle's recorded instantiations
-    /// one at a time, in the recorded commit order. Each step snapshots
-    /// the eligible candidates exactly like a live round, picks the one
-    /// matching the oracle's head, and runs it through the same
-    /// transaction path (`run_one`) — so locking, maintenance-before-
-    /// commit, and refraction bookkeeping are identical; only the racing
-    /// is gone. A step whose recorded instantiation is not eligible (or
-    /// does not commit) stops the replay with
-    /// [`ConcurrentStats::divergence`] set.
-    fn run_replay(&mut self, max_fired: usize) -> ConcurrentStats {
-        let mut stats = ConcurrentStats::default();
-        let tracer = self.engine.lock().tracer().clone();
-        let rules = self.engine.lock().pdb().rules().clone();
-        let base = self.engine.lock().pdb().db().stats().snapshot();
-        while stats.committed < max_fired && !stats.halted {
-            let Some((want_rule, want_wmes)) = self.oracle.as_ref().and_then(|o| o.peek()).cloned()
-            else {
-                break; // schedule fully replayed
-            };
-            let Some(inst) = self.snapshot().into_iter().find(|inst| {
-                rules.rule(inst.rule).name == want_rule && inst.wmes_display(&rules) == want_wmes
-            }) else {
-                stats.divergence = Some(format!(
-                    "replay diverged at firing {}: no eligible instantiation for {want_rule}: {want_wmes}",
-                    stats.committed
-                ));
-                break;
-            };
-            stats.rounds += 1;
-            let round = stats.rounds as u64;
-            let round_start = Instant::now();
-            let outcome = Self::run_one(&self.engine, &inst, self.batching, round, &self.next_seq);
-            let mut round_committed = 0usize;
-            let mut round_critical = 0u64;
-            match outcome {
-                TxnOutcome::Committed {
-                    halt,
-                    writes,
-                    critical_ns,
-                    self_removed,
-                } => {
-                    stats.committed += 1;
-                    stats.writes.extend(writes);
-                    stats.halted |= halt;
-                    round_committed = 1;
-                    round_critical = critical_ns;
-                    stats.critical_ns += critical_ns;
-                    if !self_removed {
-                        self.engine.lock().conflict_set_mut().mark_fired(&inst);
-                    }
-                    self.oracle.as_mut().expect("oracle installed").advance();
-                }
-                TxnOutcome::Invalid => {
-                    stats.invalidated += 1;
-                    stats.divergence = Some(format!(
-                        "replay diverged at firing {}: {want_rule}: {want_wmes} re-selected as invalid",
-                        stats.committed
-                    ));
-                }
-                TxnOutcome::Deadlock => {
-                    // Impossible serially (one transaction at a time),
-                    // but surfaced rather than swallowed if it happens.
-                    stats.deadlock_aborts += 1;
-                    stats.divergence = Some(format!(
-                        "replay diverged at firing {}: {want_rule}: {want_wmes} hit a deadlock",
-                        stats.committed
-                    ));
-                }
-                TxnOutcome::Failed(e) => {
-                    stats.failed += 1;
-                    stats.errors.push(e.to_string());
-                    stats.divergence = Some(format!(
-                        "replay diverged at firing {}: {want_rule}: {want_wmes} failed: {e}",
-                        stats.committed
-                    ));
-                }
-            }
-            let span_ns = round_start.elapsed().as_nanos() as u64;
-            tracer.emit(|| Event::RoundSpan {
-                round,
-                candidates: 1,
-                committed: round_committed,
-                aborted: 1 - round_committed,
-                critical_ns: round_critical,
-                span_ns,
-            });
-            if stats.divergence.is_some() {
-                break;
-            }
-        }
-        let delta = self
-            .engine
-            .lock()
-            .pdb()
-            .db()
-            .stats()
-            .snapshot()
-            .since(&base);
-        stats.lock_waits = delta.lock_waits;
-        stats.lock_wait_ns = delta.lock_wait_ns;
         stats
     }
 }
@@ -920,7 +811,8 @@ mod tests {
             let eng = ex.engine();
             let g = eng.lock();
             assert_eq!(g.pdb().wm_len(ClassId(1)), 8, "{}", kind.label());
-            assert!(g.conflict_set().is_empty() || stats.halted);
+            assert!(g.conflict_set().is_empty());
+            assert_eq!(stats.end, EndReason::Quiescent, "{}", kind.label());
         }
     }
 
@@ -1050,10 +942,30 @@ mod tests {
         }
         let stats = ex.run(1);
         assert_eq!(stats.committed, 1, "budget of 1 means exactly 1 commit");
+        assert_eq!(stats.end, EndReason::Budget);
         let stats = ex.run(3);
         assert_eq!(stats.committed, 3, "resuming honors the new budget");
+        assert_eq!(stats.end, EndReason::Budget);
         let stats = ex.run(1000);
         assert_eq!(stats.committed, 4, "remainder drains to quiescence");
+        assert_eq!(stats.end, EndReason::Quiescent);
+    }
+
+    /// A run whose budget is exactly what the program fires drained: it
+    /// ends quiescent, not cut off by the budget.
+    #[test]
+    fn drained_at_the_budget_is_quiescent() {
+        let mut ex = setup(COUNTER_RULES, EngineKind::Rete);
+        {
+            let eng = ex.engine();
+            let mut g = eng.lock();
+            for i in 0..4i64 {
+                g.insert(ClassId(0), tuple![i]);
+            }
+        }
+        let stats = ex.run(4);
+        assert_eq!(stats.committed, 4);
+        assert_eq!(stats.end, EndReason::Quiescent);
     }
 
     /// Regression: a committed `(halt)` only stopped *rounds*; queued
@@ -1079,7 +991,7 @@ mod tests {
             }
         }
         let stats = ex.run(1000);
-        assert!(stats.halted);
+        assert_eq!(stats.end, EndReason::Halted);
         assert_eq!(
             stats.committed, 1,
             "single worker: halt stops the rest of the round's queue"
@@ -1099,7 +1011,7 @@ mod tests {
             g.insert(ClassId(0), tuple![1]);
         }
         let stats = ex.run(100);
-        assert!(stats.halted);
+        assert_eq!(stats.end, EndReason::Halted);
         assert_eq!(stats.committed, 1);
     }
 
@@ -1122,14 +1034,25 @@ mod tests {
         }
         let stats = ex.run(100);
         assert_eq!(stats.committed, 0);
-        assert_eq!(stats.stalled, Some(1), "{stats}");
+        assert_eq!(stats.end, EndReason::Stalled { remaining: 1 }, "{stats}");
         assert!(stats.invalidated >= 32, "{stats}");
         assert!(stats.to_string().ends_with(" stalled=1"), "{stats}");
 
         // A run that drains reports no stall.
         let mut ex = setup(COUNTER_RULES, EngineKind::Rete);
         ex.engine().lock().insert(ClassId(0), tuple![1]);
-        assert_eq!(ex.run(100).stalled, None);
+        let stats = ex.run(100);
+        assert_eq!(stats.end, EndReason::Quiescent);
+        assert!(!stats.to_string().contains("stalled"), "{stats}");
+
+        // A halted run says so, and only that.
+        let mut ex = setup(
+            "(literalize A x)(p Stop (A ^x <V>) --> (halt))",
+            EngineKind::Rete,
+        );
+        ex.engine().lock().insert(ClassId(0), tuple![1]);
+        let stats = ex.run(100);
+        assert!(stats.to_string().ends_with(" halted"), "{stats}");
     }
 
     /// Firing keys `(rule_name, wmes)` in commit order, from a ring of
@@ -1191,7 +1114,7 @@ mod tests {
         rep.set_tracer(rep_tracer.clone());
         rep.set_oracle(ScheduleOracle::new(keys.clone()));
         let rep_stats = rep.run(1000);
-        assert_eq!(rep_stats.divergence, None);
+        assert_eq!(rep_stats.end, EndReason::Quiescent);
         assert_eq!(rep_stats.committed, 10);
         assert_eq!(
             firing_keys(&rep_tracer.ring_events().unwrap()),
@@ -1217,7 +1140,55 @@ mod tests {
         )]));
         let stats = ex.run(1000);
         assert_eq!(stats.committed, 0);
-        let msg = stats.divergence.expect("divergence reported");
+        let EndReason::Diverged(msg) = stats.end else {
+            panic!("divergence reported: {stats:?}");
+        };
         assert!(msg.contains("no eligible instantiation"), "{msg}");
+    }
+
+    /// A recorded instantiation that is still eligible but whose tuple
+    /// vanished behind the engine's back goes through the shared round
+    /// loop, re-selects as invalid, and ends the replay as diverged.
+    #[test]
+    fn replay_of_an_invalid_instantiation_diverges() {
+        let src = r#"
+            (literalize A x)
+            (literalize Log x)
+            (p Note (A ^x <V>) --> (make Log ^x <V>))
+        "#;
+        let mut ex = setup(src, EngineKind::Rete);
+        let key = {
+            let eng = ex.engine();
+            let mut g = eng.lock();
+            g.insert(ClassId(0), tuple![1]);
+            g.pdb().remove_wm_equal(ClassId(0), &tuple![1]).unwrap();
+            let inst = g.conflict_set().eligible().next().unwrap().clone();
+            ("Note".to_string(), inst.wmes_display(g.pdb().rules()))
+        };
+        let tracer = obs::Tracer::new(obs::Sink::ring(4096));
+        ex.set_tracer(tracer.clone());
+        ex.set_oracle(ScheduleOracle::new(vec![key]));
+        let stats = ex.run(1000);
+        assert_eq!(
+            (stats.committed, stats.invalidated, stats.rounds),
+            (0, 1, 1)
+        );
+        let EndReason::Diverged(msg) = &stats.end else {
+            panic!("divergence reported: {stats:?}");
+        };
+        assert!(
+            msg.contains("Note") && msg.ends_with("re-selected as invalid"),
+            "{msg}"
+        );
+        let events = tracer.ring_events().unwrap();
+        assert!(events.iter().any(|e| matches!(
+            e,
+            Event::RoundSpan {
+                candidates: 1,
+                committed: 0,
+                aborted: 1,
+                ..
+            }
+        )));
     }
 }

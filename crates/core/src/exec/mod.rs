@@ -16,6 +16,40 @@ use ops5::{Action, ClassId, RhsVal, Rule, RuleSet};
 use relstore::{Tuple, Value};
 use rete::Instantiation;
 
+/// How a run ended. Both executors report exactly one reason, so a run
+/// cannot claim to have halted and stalled at once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum EndReason {
+    /// No eligible instantiation was left: the run drained.
+    #[default]
+    Quiescent,
+    /// The firing budget, or a replayed schedule, ran out while eligible
+    /// instantiations remained.
+    Budget,
+    /// A committed production executed `(halt)`.
+    Halted,
+    /// The concurrent stall guard gave up after rounds that made no
+    /// progress on an unchanged candidate set; `remaining` eligible
+    /// instantiations were left unfired.
+    Stalled { remaining: usize },
+    /// An oracle-driven replay could not follow the recorded schedule:
+    /// the step it stopped at and why.
+    Diverged(String),
+}
+
+impl EndReason {
+    /// Lower-case name, as written to reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            EndReason::Quiescent => "quiescent",
+            EndReason::Budget => "budget",
+            EndReason::Halted => "halted",
+            EndReason::Stalled { .. } => "stalled",
+            EndReason::Diverged(_) => "diverged",
+        }
+    }
+}
+
 /// One WM change produced by an RHS.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WmChange {

@@ -9,7 +9,7 @@ use obs::Event;
 use rete::Instantiation;
 
 use crate::engine::MatchEngine;
-use crate::exec::{eval_rhs, WmChange};
+use crate::exec::{eval_rhs, EndReason, WmChange};
 use crate::strategy::Strategy;
 
 /// Outcome of a run.
@@ -17,10 +17,8 @@ use crate::strategy::Strategy;
 pub struct RunOutcome {
     /// Recognize-act cycles executed (= productions fired).
     pub fired: usize,
-    /// `(halt)` was executed.
-    pub halted: bool,
-    /// The cycle limit stopped the run.
-    pub limited: bool,
+    /// Why the run stopped: quiescence, `(halt)`, or the cycle limit.
+    pub end: EndReason,
     /// Lines produced by `write` actions.
     pub writes: Vec<String>,
 }
@@ -169,22 +167,27 @@ impl SequentialExecutor {
     }
 
     /// Run until quiescence, `(halt)`, or `max_cycles`.
+    /// The limit ends a run as [`EndReason::Budget`] only while eligible
+    /// instantiations remain; a run that drains on its last permitted
+    /// cycle is quiescent.
     pub fn run(&mut self, max_cycles: usize) -> RunOutcome {
         let mut outcome = RunOutcome::default();
-        while outcome.fired < max_cycles {
-            match self.step() {
-                Some((_, halt, writes)) => {
-                    outcome.fired += 1;
-                    outcome.writes.extend(writes);
-                    if halt {
-                        outcome.halted = true;
-                        return outcome;
-                    }
-                }
-                None => return outcome,
+        outcome.end = loop {
+            if outcome.fired >= max_cycles {
+                break match self.engine.conflict_set().eligible().next() {
+                    Some(_) => EndReason::Budget,
+                    None => EndReason::Quiescent,
+                };
             }
-        }
-        outcome.limited = true;
+            let Some((_, halt, writes)) = self.step() else {
+                break EndReason::Quiescent;
+            };
+            outcome.fired += 1;
+            outcome.writes.extend(writes);
+            if halt {
+                break EndReason::Halted;
+            }
+        };
         outcome
     }
 }
@@ -256,7 +259,7 @@ mod tests {
             ex.insert(ClassId(0), tuple!["Mike", 6000, "Sam"]);
             let out = ex.run(10);
             assert_eq!(out.fired, 1, "{}", kind.label());
-            assert!(!out.limited);
+            assert_eq!(out.end, EndReason::Quiescent, "{}", kind.label());
             let pdb = ex.engine().pdb().clone();
             assert_eq!(pdb.wm_len(ClassId(0)), 1, "Mike removed ({})", kind.label());
         }
@@ -273,7 +276,7 @@ mod tests {
         );
         ex.insert(ClassId(0), tuple![1]);
         let out = ex.run(100);
-        assert!(out.halted);
+        assert_eq!(out.end, EndReason::Halted);
         assert_eq!(out.fired, 1);
     }
 
@@ -291,7 +294,27 @@ mod tests {
         ex.insert(ClassId(0), tuple![1]);
         let out = ex.run(100);
         assert_eq!(out.fired, 1, "refraction blocks refiring");
-        assert!(!out.limited);
+        assert_eq!(out.end, EndReason::Quiescent);
+    }
+
+    /// A run that drains on its last permitted cycle reached quiescence;
+    /// the cycle limit did not cut anything off.
+    #[test]
+    fn drained_at_the_limit_is_quiescent() {
+        let mut ex = exec(
+            EngineKind::Rete,
+            r#"
+            (literalize A x)
+            (literalize Log x)
+            (p Note (A ^x <V>) --> (make Log ^x <V>))
+            "#,
+        );
+        ex.insert(ClassId(0), tuple![1]);
+        ex.insert(ClassId(0), tuple![2]);
+        let out = ex.run(1);
+        assert_eq!((out.fired, out.end), (1, EndReason::Budget));
+        let out = ex.run(1);
+        assert_eq!((out.fired, out.end), (1, EndReason::Quiescent));
     }
 
     #[test]
@@ -307,7 +330,7 @@ mod tests {
         );
         ex.insert(ClassId(0), tuple![1]);
         let out = ex.run(25);
-        assert!(out.limited);
+        assert_eq!(out.end, EndReason::Budget);
         assert_eq!(out.fired, 25);
     }
 

@@ -61,9 +61,14 @@ fn note_alloc(size: usize) {
     crate::prof::note_alloc(size as u64);
 }
 
+/// Frees of blocks allocated before the last [`reset`], on any thread,
+/// would drive `LIVE` below zero and make every later `PEAK` under-report;
+/// live bytes are clamped at zero instead.
 #[inline]
 fn note_dealloc(size: usize) {
-    LIVE.fetch_sub(size as i64, Ordering::Relaxed);
+    let _ = LIVE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+        Some((live - size as i64).max(0))
+    });
 }
 
 /// System-allocator wrapper that counts when the profiler is enabled.

@@ -12,7 +12,8 @@
 
 use ops5::ClassId;
 use prodsys::{
-    make_engine, ConcurrentExecutor, EngineKind, ProductionDb, SequentialExecutor, Strategy,
+    make_engine, ConcurrentExecutor, EndReason, EngineKind, ProductionDb, SequentialExecutor,
+    Strategy,
 };
 use proptest::prelude::*;
 use relstore::{tuple, Restriction, Tuple};
@@ -196,7 +197,7 @@ proptest! {
                         stats.committed, out.fired,
                         "{}: committed txns vs sequential firings", &label
                     );
-                    prop_assert!(!stats.halted, "{}: no halt in this program", &label);
+                    prop_assert_eq!(&stats.end, &EndReason::Quiescent, "{}: drains", &label);
                     let engine = exec.engine();
                     let g = engine.lock();
                     prop_assert_eq!(

@@ -4,7 +4,7 @@
 //! and still drive the run to a correct quiescent state.
 
 use ops5::ClassId;
-use prodsys::{make_engine, ConcurrentExecutor, EngineKind, ProductionDb};
+use prodsys::{make_engine, ConcurrentExecutor, EndReason, EngineKind, ProductionDb};
 use relstore::{tuple, LockMode, LockTarget, RelId, TupleId};
 
 #[test]
@@ -65,7 +65,7 @@ fn mutual_deleters_complete() {
         let pdb = engine.pdb().clone();
         let mut conc = ConcurrentExecutor::new(engine, 6);
         let stats = conc.run(10_000);
-        assert!(!stats.halted);
+        assert_eq!(stats.end, EndReason::Quiescent, "trial {trial}");
         assert_eq!(pdb.db().lock_manager().held_count(), 0, "trial {trial}");
         // Quiescent: no matching mutual pair remains.
         let eng = conc.engine();

@@ -1,7 +1,7 @@
 //! Negated condition elements (§4.2.2) across engines and executors.
 
 use ops5::ClassId;
-use prodsys::{make_engine, EngineKind, ProductionDb, ProductionSystem, Strategy};
+use prodsys::{make_engine, EndReason, EngineKind, ProductionDb, ProductionSystem, Strategy};
 use relstore::tuple;
 
 const ORPHAN: &str = r#"
@@ -85,7 +85,7 @@ fn negation_fixpoint_program() {
         sys.insert("Emp", tuple!["Cid", 3]).unwrap();
         sys.insert("Dept", tuple![2]).unwrap();
         let out = sys.run(100);
-        assert!(!out.limited, "{}", kind.label());
+        assert_eq!(out.end, EndReason::Quiescent, "{}", kind.label());
         assert_eq!(
             sys.wm("Orphaned").unwrap(),
             vec![tuple!["Ann"], tuple!["Cid"]],

@@ -6,7 +6,8 @@
 
 use ops5::ClassId;
 use prodsys::{
-    make_engine, ConcurrentExecutor, EngineKind, ProductionDb, SequentialExecutor, Strategy,
+    make_engine, ConcurrentExecutor, EndReason, EngineKind, ProductionDb, SequentialExecutor,
+    Strategy,
 };
 use relstore::{tuple, Database, Restriction, Tuple};
 use std::path::PathBuf;
@@ -83,7 +84,7 @@ fn paged_database_under_concurrent_workers_matches_memory() {
             "{}: paged concurrent commits vs in-memory sequential firings",
             kind.label()
         );
-        assert!(!stats.halted, "{}: no halt in this program", kind.label());
+        assert_eq!(stats.end, EndReason::Quiescent, "{}: drains", kind.label());
         {
             let engine = exec.engine();
             let g = engine.lock();

@@ -1,7 +1,7 @@
 //! End-to-end multi-cycle programs: a planning chain (monkey & bananas)
 //! and an inventory workflow, identical across all five engines.
 
-use prodsys::{EngineKind, ProductionSystem, Strategy};
+use prodsys::{EndReason, EngineKind, ProductionSystem, Strategy};
 use relstore::tuple;
 use workload::programs;
 
@@ -14,7 +14,12 @@ fn monkey_and_bananas_plans_identically_on_all_engines() {
             sys.insert(class, t).unwrap();
         }
         let out = sys.run(50);
-        assert!(out.halted, "{}: plan reaches the bananas", kind.label());
+        assert_eq!(
+            out.end,
+            EndReason::Halted,
+            "{}: plan reaches the bananas",
+            kind.label()
+        );
         assert_eq!(out.fired, 4, "{}", kind.label());
         assert_eq!(
             out.writes,
@@ -45,7 +50,7 @@ fn inventory_workflow_raises_and_clears_pos() {
             sys.insert(class, t).unwrap();
         }
         let out = sys.run(50);
-        assert!(!out.limited, "{}", kind.label());
+        assert_eq!(out.end, EndReason::Quiescent, "{}", kind.label());
         // widget (2 < 10) and sprocket (0 < 5) trigger POs; gadget does not.
         assert_eq!(sys.wm("PO").unwrap().len(), 2, "{}", kind.label());
 

@@ -3,7 +3,7 @@
 //! view contents on every engine, and track base-table updates
 //! incrementally.
 
-use prodsys::{EngineKind, ProductionSystem, Strategy};
+use prodsys::{EndReason, EngineKind, ProductionSystem, Strategy};
 use relstore::tuple;
 use workload::view;
 
@@ -20,7 +20,7 @@ fn view_materializes_on_every_engine() {
     for kind in EngineKind::ALL {
         let mut sys = build(kind);
         let out = sys.run(100);
-        assert!(!out.limited, "{}", kind.label());
+        assert_eq!(out.end, EndReason::Quiescent, "{}", kind.label());
         assert_eq!(
             sys.wm("View").unwrap(),
             view::expected_view(),
