@@ -1,17 +1,20 @@
 //! Machine-readable benchmark snapshots: `harness --bench-json FILE`.
 //!
-//! Runs the [`OBS_DEMO`](crate::obs_run) workload once per engine and
-//! emits one JSON document in a stable schema (`sellis88-bench/v1`), so
-//! successive snapshots — `BENCH_seed.json`, `BENCH_<change>.json` — can
-//! be diffed across PRs without scraping harness tables.
+//! Runs a workload — the [`OBS_DEMO`](crate::obs_run) demo, the scaled
+//! skewed join, or the §5 worker sweep — and emits one row per engine or
+//! variant as one JSON document in a stable schema (`sellis88-bench/v1`),
+//! so successive snapshots — `BENCH_seed.json`, `BENCH_<change>.json` —
+//! can be diffed across PRs without scraping harness tables. Every row
+//! is built by one `measure`.
 
 use std::time::Instant;
 
 use obs::json::{Arr, Obj};
 use prodsys::{
-    make_engine, ClassId, ConcurrentExecutor, EngineKind, ProductionDb, ProductionSystem, Strategy,
+    make_engine, ClassId, ConcurrentExecutor, EngineKind, MatchEngine, ProductionDb,
+    ProductionSystem, SequentialExecutor, SpaceStats, Strategy,
 };
-use relstore::tuple;
+use relstore::{tuple, OpSnapshot};
 
 use crate::obs_run::{OBS_DEMO, OBS_ITEMS};
 
@@ -20,11 +23,13 @@ use crate::obs_run::{OBS_DEMO, OBS_ITEMS};
 pub const BENCH_SCHEMA: &str = "sellis88-bench/v1";
 
 /// One engine's measurements over the demo workload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BenchRow {
-    /// Engine label (`rete`, `db-rete`, `query`, `cond`, `marker`).
-    pub engine: &'static str,
-    /// Wall time of load + run, in nanoseconds.
+    /// Row label: the engine (`rete`, `db-rete`, `query`, `cond`,
+    /// `marker`) or a variant of it (`query-nl`, `concurrent-w4`, …).
+    pub engine: String,
+    /// Wall time of the timed part of the pass, in nanoseconds (the
+    /// fastest of two passes).
     pub wall_ns: u64,
     /// Productions fired.
     pub fired: u64,
@@ -35,10 +40,10 @@ pub struct BenchRow {
     /// Approximate bytes of match-support memory after the run.
     pub match_bytes: u64,
     /// Matching-pattern index probes served (0 for engines without a
-    /// pattern store, or with its index disabled).
+    /// pattern store).
     pub pattern_probes: u64,
     /// Matching patterns examined during maintenance — the candidate
-    /// lists behind probes, or whole groups under full scans.
+    /// lists behind probes, plus whole groups where no hash site applies.
     pub pattern_scanned: u64,
     /// Pages faulted in from the page file (0 for in-memory rows).
     pub page_reads: u64,
@@ -86,79 +91,133 @@ impl BenchRow {
     }
 }
 
-/// Run `f` with the profiler + allocation counters on; returns `f`'s
-/// result, the merged profile, the wall time, and the bytes allocated.
-/// The profiler is process-global: callers are sequential (bench passes
-/// run one engine at a time).
-fn profiled_run<R>(f: impl FnOnce() -> R) -> (R, obs::Profile, u64, u64) {
-    obs::prof::reset();
-    obs::alloc::reset();
-    obs::prof::set_enabled(true);
+/// What one pass of a bench row measured: the wall time of the part the
+/// pass chose to time, plus the counters of the system it left behind.
+struct Pass {
+    wall_ns: u64,
+    fired: u64,
+    ops: OpSnapshot,
+    space: SpaceStats,
+    pattern_io: (u64, u64),
+    /// `(lock_waits, lock_wait_ns, per-shard contention)`; zero for the
+    /// single-threaded passes.
+    locks: (u64, u64, Vec<(u32, u64, u64)>),
+}
+
+impl Pass {
+    /// The counters of `engine` after a pass that fired `fired` times.
+    fn of(engine: &dyn MatchEngine, start: Instant, fired: u64) -> Pass {
+        Pass {
+            wall_ns: start.elapsed().as_nanos() as u64,
+            fired,
+            ops: engine.pdb().db().stats().snapshot(),
+            space: engine.space(),
+            pattern_io: engine.pattern_io().unwrap_or((0, 0)),
+            locks: (0, 0, Vec::new()),
+        }
+    }
+}
+
+/// Fresh passes per row; the row keeps the fastest. The run-to-run
+/// jitter of the scan-heavy rows (allocator and page-cache state) reaches
+/// ~40%, which the bench-check 25% band cannot absorb, while the min of
+/// two passes is stable. Each pass builds its own system, so the
+/// deterministic counters are identical whichever pass the row keeps;
+/// the concurrent rows' lock counters are the kept pass's own.
+const PASSES: usize = 2;
+
+/// Build one bench row from [`PASSES`] runs of `pass`, keeping the
+/// fastest. With `profiled`, one more run under the span profiler and the
+/// allocation counters fills the hotspot and allocation columns; the
+/// timed passes always run profiler-off, so `wall_ns` stays comparable
+/// across snapshots. The profiler is process-global: rows are measured
+/// one at a time.
+fn measure(label: impl Into<String>, profiled: bool, pass: impl Fn() -> Pass) -> BenchRow {
+    let best = (0..PASSES)
+        .map(|_| pass())
+        .min_by_key(|p| p.wall_ns)
+        .expect("at least one pass");
+    let (mut profile, mut prof_wall_ns, mut alloc_bytes) = (obs::Profile::new(), 0, 0);
+    if profiled {
+        obs::prof::reset();
+        obs::alloc::reset();
+        obs::prof::set_enabled(true);
+        let start = Instant::now();
+        pass();
+        prof_wall_ns = start.elapsed().as_nanos() as u64;
+        obs::prof::set_enabled(false);
+        profile = obs::prof::take();
+        alloc_bytes = obs::alloc::stats().bytes;
+    }
+    let Pass {
+        wall_ns,
+        fired,
+        ops,
+        space,
+        pattern_io: (pattern_probes, pattern_scanned),
+        locks: (lock_waits, lock_wait_ns, lock_shards),
+    } = best;
+    BenchRow {
+        engine: label.into(),
+        wall_ns,
+        fired,
+        logical_io: ops.logical_io(),
+        match_entries: space.match_entries as u64,
+        match_bytes: space.match_bytes as u64,
+        pattern_probes,
+        pattern_scanned,
+        page_reads: ops.page_reads,
+        page_writes: ops.page_writes,
+        pool_hits: ops.pool_hits,
+        pool_evictions: ops.pool_evictions,
+        lock_waits,
+        lock_wait_ns,
+        lock_shards,
+        alloc_bytes,
+        prof_wall_ns,
+        profile,
+    }
+}
+
+/// One benchmark document: a workload's rows plus what the bench check
+/// needs to judge them.
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    /// Workload name (`obs-demo`, `scaled-skew`, `concurrent-workers`).
+    pub workload: &'static str,
+    /// Workload size the rows ran at.
+    pub items: i64,
+    /// Lock-manager shard count of the concurrent rows.
+    pub shards: usize,
+    pub rows: Vec<BenchRow>,
+}
+
+/// One pass of the demo workload on a fresh `kind` system, timed from
+/// compile through the run.
+fn demo_pass(kind: EngineKind) -> Pass {
     let start = Instant::now();
-    let out = f();
-    let prof_wall_ns = start.elapsed().as_nanos() as u64;
-    obs::prof::set_enabled(false);
-    let profile = obs::prof::take();
-    (out, profile, prof_wall_ns, obs::alloc::stats().bytes)
+    let mut sys = ProductionSystem::from_source(OBS_DEMO, kind, Strategy::Fifo)
+        .expect("demo program compiles");
+    for i in 0..OBS_ITEMS {
+        sys.insert("Item", tuple![i, i * 2]).expect("Item class");
+    }
+    let out = sys.run(10_000);
+    Pass::of(sys.engine(), start, out.fired as u64)
 }
 
-/// Run the demo workload on every engine and collect one [`BenchRow`]
-/// each. Fresh system per engine, so no measurement sees another's
+/// The demo workload on every engine, one row each (workload
+/// `obs-demo`). Fresh system per pass, so no measurement sees another's
 /// caches or statistics.
-pub fn bench_rows() -> Vec<BenchRow> {
-    bench_rows_with(false)
-}
-
-/// [`bench_rows`] with an optional profiled re-run per engine (hotspot
-/// and allocation columns). The timed pass always runs profiler-off, so
-/// `wall_ns` stays comparable across snapshots.
-pub fn bench_rows_with(profiled: bool) -> Vec<BenchRow> {
-    EngineKind::ALL
-        .iter()
-        .map(|&kind| {
-            let run = || {
-                let mut sys = ProductionSystem::from_source(OBS_DEMO, kind, Strategy::Fifo)
-                    .expect("demo program compiles");
-                for i in 0..OBS_ITEMS {
-                    sys.insert("Item", tuple![i, i * 2]).expect("Item class");
-                }
-                let out = sys.run(10_000);
-                (sys, out)
-            };
-            let start = Instant::now();
-            let (sys, out) = run();
-            let wall_ns = start.elapsed().as_nanos() as u64;
-            let (profile, prof_wall_ns, alloc_bytes) = if profiled {
-                let (_, profile, prof_wall_ns, alloc_bytes) = profiled_run(run);
-                (profile, prof_wall_ns, alloc_bytes)
-            } else {
-                (obs::Profile::new(), 0, 0)
-            };
-            let space = sys.engine().space();
-            let (pattern_probes, pattern_scanned) = sys.engine().pattern_io().unwrap_or((0, 0));
-            let ops = sys.engine().pdb().db().stats().snapshot();
-            BenchRow {
-                engine: kind.label(),
-                wall_ns,
-                fired: out.fired as u64,
-                logical_io: ops.logical_io(),
-                match_entries: space.match_entries as u64,
-                match_bytes: space.match_bytes as u64,
-                pattern_probes,
-                pattern_scanned,
-                page_reads: ops.page_reads,
-                page_writes: ops.page_writes,
-                pool_hits: ops.pool_hits,
-                pool_evictions: ops.pool_evictions,
-                lock_waits: 0,
-                lock_wait_ns: 0,
-                lock_shards: Vec::new(),
-                alloc_bytes,
-                prof_wall_ns,
-                profile,
-            }
-        })
-        .collect()
+pub fn bench_snapshot(profiled: bool) -> Snapshot {
+    Snapshot {
+        workload: "obs-demo",
+        items: OBS_ITEMS,
+        shards: relstore::DEFAULT_LOCK_SHARDS,
+        rows: EngineKind::ALL
+            .iter()
+            .map(|&kind| measure(kind.label(), profiled, || demo_pass(kind)))
+            .collect(),
+    }
 }
 
 /// Scaled skewed-join workload (`harness --bench-json F --items N`).
@@ -211,21 +270,12 @@ pub fn scaled_fired(items: i64) -> u64 {
         .count() as u64
 }
 
-fn scaled_system(kind: EngineKind) -> ProductionSystem {
-    ProductionSystem::from_source(SCALED_DEMO, kind, Strategy::Fifo)
-        .expect("scaled program compiles")
-}
-
-/// Load + run one scaled pass on a fresh system of `kind`.
-fn scaled_pass(
-    kind: EngineKind,
-    items: i64,
-    batch: bool,
-    pattern_index: bool,
-) -> (ProductionSystem, u64) {
-    let mut sys = scaled_system(kind);
+/// Load + run the scaled workload on a fresh system of `kind`; returns
+/// the system and the productions fired.
+fn scaled_run(kind: EngineKind, items: i64, batch: bool) -> (ProductionSystem, u64) {
+    let mut sys = ProductionSystem::from_source(SCALED_DEMO, kind, Strategy::Fifo)
+        .expect("scaled program compiles");
     sys.set_batching(batch);
-    sys.set_pattern_index(pattern_index);
     let refs: Vec<_> = (0..SCALED_REFS)
         .map(|r| tuple![SCALED_HOT + r, r * 10])
         .collect();
@@ -245,56 +295,11 @@ fn scaled_pass(
     (sys, out.fired as u64)
 }
 
-fn scaled_row(
-    label: &'static str,
-    kind: EngineKind,
-    items: i64,
-    batch: bool,
-    pattern_index: bool,
-    profiled: bool,
-) -> BenchRow {
-    // Wall is best-of-two fresh passes: the run-to-run jitter of the
-    // scan-heavy rows (allocator and page-cache state) reaches ~40%,
-    // which the bench-check 25% band cannot absorb, while the min of
-    // two passes is stable. Each pass builds its own system, so the
-    // deterministic counters (fired, logical_io, probes) are identical
-    // whichever pass the row keeps.
+/// One scaled pass, timed over load + run.
+fn scaled_pass(kind: EngineKind, items: i64, batch: bool) -> Pass {
     let start = Instant::now();
-    let (sys, fired) = scaled_pass(kind, items, batch, pattern_index);
-    let mut wall_ns = start.elapsed().as_nanos() as u64;
-    let start = Instant::now();
-    let _ = scaled_pass(kind, items, batch, pattern_index);
-    wall_ns = wall_ns.min(start.elapsed().as_nanos() as u64);
-    let (profile, prof_wall_ns, alloc_bytes) = if profiled {
-        let (_, profile, prof_wall_ns, alloc_bytes) =
-            profiled_run(|| scaled_pass(kind, items, batch, pattern_index));
-        (profile, prof_wall_ns, alloc_bytes)
-    } else {
-        (obs::Profile::new(), 0, 0)
-    };
-    let space = sys.engine().space();
-    let (pattern_probes, pattern_scanned) = sys.engine().pattern_io().unwrap_or((0, 0));
-    let ops = sys.engine().pdb().db().stats().snapshot();
-    BenchRow {
-        engine: label,
-        wall_ns,
-        fired,
-        logical_io: ops.logical_io(),
-        match_entries: space.match_entries as u64,
-        match_bytes: space.match_bytes as u64,
-        pattern_probes,
-        pattern_scanned,
-        page_reads: ops.page_reads,
-        page_writes: ops.page_writes,
-        pool_hits: ops.pool_hits,
-        pool_evictions: ops.pool_evictions,
-        lock_waits: 0,
-        lock_wait_ns: 0,
-        lock_shards: Vec::new(),
-        alloc_bytes,
-        prof_wall_ns,
-        profile,
-    }
+    let (sys, fired) = scaled_run(kind, items, batch);
+    Pass::of(sys.engine(), start, fired)
 }
 
 /// Buffer-pool frames for the `query-paged` row — deliberately far
@@ -308,7 +313,7 @@ pub const SCALED_PAGED_POOL: usize = 2;
 /// buffer pool, WAL-before-data on eviction. Same program, same skew,
 /// same batching as the in-memory `query` row, so `fired` must agree
 /// exactly; only the storage layer differs.
-fn scaled_paged_pass(items: i64, pool_pages: usize) -> (prodsys::SequentialExecutor, u64) {
+fn scaled_paged_run(items: i64, pool_pages: usize) -> (SequentialExecutor, u64) {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -321,7 +326,7 @@ fn scaled_paged_pass(items: i64, pool_pages: usize) -> (prodsys::SequentialExecu
     let pdb = ProductionDb::with_db(std::sync::Arc::new(db), rules).expect("paged pdb");
     let mut engine = make_engine(EngineKind::Query, pdb);
     engine.set_batching(true);
-    let mut exec = prodsys::SequentialExecutor::new(engine, Strategy::Fifo);
+    let mut exec = SequentialExecutor::new(engine, Strategy::Fifo);
     let refs: Vec<_> = (0..SCALED_REFS)
         .map(|r| tuple![SCALED_HOT + r, r * 10])
         .collect();
@@ -341,8 +346,8 @@ fn scaled_paged_pass(items: i64, pool_pages: usize) -> (prodsys::SequentialExecu
 /// Returns the shared fired count; `Err` describes the first divergence.
 pub fn paged_smoke(items: i64, pool_pages: usize) -> Result<u64, String> {
     let items = items.clamp(1, SCALED_MAX_ITEMS);
-    let (sys, mem_fired) = scaled_pass(EngineKind::Query, items, true, true);
-    let (exec, paged_fired) = scaled_paged_pass(items, pool_pages);
+    let (sys, mem_fired) = scaled_run(EngineKind::Query, items, true);
+    let (exec, paged_fired) = scaled_paged_run(items, pool_pages);
     let expect = scaled_fired(items);
     if mem_fired != expect || paged_fired != expect {
         return Err(format!(
@@ -381,47 +386,6 @@ pub fn paged_smoke(items: i64, pool_pages: usize) -> Result<u64, String> {
     Ok(paged_fired)
 }
 
-fn scaled_paged_row(label: &'static str, items: i64, profiled: bool) -> BenchRow {
-    // Best-of-two wall, same rationale as `scaled_row`.
-    let start = Instant::now();
-    let (exec, fired) = scaled_paged_pass(items, SCALED_PAGED_POOL);
-    let mut wall_ns = start.elapsed().as_nanos() as u64;
-    let start = Instant::now();
-    let _ = scaled_paged_pass(items, SCALED_PAGED_POOL);
-    wall_ns = wall_ns.min(start.elapsed().as_nanos() as u64);
-    let (profile, prof_wall_ns, alloc_bytes) = if profiled {
-        let (_, profile, prof_wall_ns, alloc_bytes) =
-            profiled_run(|| scaled_paged_pass(items, SCALED_PAGED_POOL));
-        (profile, prof_wall_ns, alloc_bytes)
-    } else {
-        (obs::Profile::new(), 0, 0)
-    };
-    let engine = exec.engine();
-    let space = engine.space();
-    let (pattern_probes, pattern_scanned) = engine.pattern_io().unwrap_or((0, 0));
-    let ops = engine.pdb().db().stats().snapshot();
-    BenchRow {
-        engine: label,
-        wall_ns,
-        fired,
-        logical_io: ops.logical_io(),
-        match_entries: space.match_entries as u64,
-        match_bytes: space.match_bytes as u64,
-        pattern_probes,
-        pattern_scanned,
-        page_reads: ops.page_reads,
-        page_writes: ops.page_writes,
-        pool_hits: ops.pool_hits,
-        pool_evictions: ops.pool_evictions,
-        lock_waits: 0,
-        lock_wait_ns: 0,
-        lock_shards: Vec::new(),
-        alloc_bytes,
-        prof_wall_ns,
-        profile,
-    }
-}
-
 /// Consuming variant of [`SCALED_DEMO`] for the §5 concurrent rows: the
 /// same skewed `Item ⋈ Ref` join, but the RHS only *removes* the matched
 /// item. Every transaction then takes shared locks plus one exclusive
@@ -442,16 +406,12 @@ pub const SCALED_CONC_DEMO: &str = r#"
 /// measures overlap rather than scheduler noise.
 pub const SCALED_CONC_IO_COST_NS: u64 = 200_000;
 
-/// One §5 concurrent row: load the [`SCALED_CONC_DEMO`] WM into a
+/// One §5 concurrent pass: load the [`SCALED_CONC_DEMO`] WM into a
 /// database whose lock manager has `shards` shards, switch on the
 /// simulated I/O latency, then time `run` alone under `workers` worker
 /// threads. Fires exactly [`scaled_fired`]`(items)` transactions —
 /// identical to the sequential engines' count on the same skew.
-fn scaled_concurrent_pass(
-    items: i64,
-    workers: usize,
-    shards: usize,
-) -> (ConcurrentExecutor, prodsys::ConcurrentStats, u64) {
+fn concurrent_pass(items: i64, workers: usize, shards: usize) -> Pass {
     let rules = ops5::compile(SCALED_CONC_DEMO).expect("concurrent program compiles");
     let db = std::sync::Arc::new(relstore::Database::new_with_shards(shards));
     let pdb = ProductionDb::with_db(db, rules).unwrap();
@@ -468,354 +428,171 @@ fn scaled_concurrent_pass(
     exec.set_batching(true);
     let start = Instant::now();
     let stats = exec.run(items as usize * 4);
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    (exec, stats, wall_ns)
+    let handle = exec.engine();
+    let engine = handle.lock();
+    Pass {
+        locks: (stats.lock_waits, stats.lock_wait_ns, stats.shard_contention),
+        ..Pass::of(engine.as_ref(), start, stats.committed as u64)
+    }
 }
 
-fn scaled_concurrent_row(
-    label: &'static str,
-    items: i64,
-    workers: usize,
-    shards: usize,
-    profiled: bool,
-) -> BenchRow {
-    let (exec, stats, wall_ns) = scaled_concurrent_pass(items, workers, shards);
-    let (profile, prof_wall_ns, alloc_bytes) = if profiled {
-        let (_, profile, prof_wall_ns, alloc_bytes) =
-            profiled_run(|| scaled_concurrent_pass(items, workers, shards));
-        (profile, prof_wall_ns, alloc_bytes)
-    } else {
-        (obs::Profile::new(), 0, 0)
-    };
-    let handle = exec.engine();
-    let g = handle.lock();
-    let space = g.space();
-    let (pattern_probes, pattern_scanned) = g.pattern_io().unwrap_or((0, 0));
-    let ops = g.pdb().db().stats().snapshot();
-    BenchRow {
-        engine: label,
-        wall_ns,
-        fired: stats.committed as u64,
-        logical_io: ops.logical_io(),
-        match_entries: space.match_entries as u64,
-        match_bytes: space.match_bytes as u64,
-        pattern_probes,
-        pattern_scanned,
-        page_reads: ops.page_reads,
-        page_writes: ops.page_writes,
-        pool_hits: ops.pool_hits,
-        pool_evictions: ops.pool_evictions,
-        lock_waits: stats.lock_waits,
-        lock_wait_ns: stats.lock_wait_ns,
-        lock_shards: stats.shard_contention.clone(),
-        alloc_bytes,
-        prof_wall_ns,
-        profile,
-    }
+/// One row per worker count of the §5 concurrent workload.
+fn concurrent_rows(items: i64, workers: &[usize], shards: usize, profiled: bool) -> Vec<BenchRow> {
+    workers
+        .iter()
+        .map(|&w| {
+            measure(format!("concurrent-w{w}"), profiled, || {
+                concurrent_pass(items, w, shards)
+            })
+        })
+        .collect()
 }
 
 /// Worker counts of the §5 throughput-vs-workers sweep
 /// (`harness --bench-workers`).
 pub const SCALED_WORKER_SWEEP: [usize; 5] = [1, 4, 16, 32, 64];
 
-/// Stable row label for a worker count (`concurrent-w16` etc.).
-pub fn concurrent_worker_label(workers: usize) -> &'static str {
-    match workers {
-        1 => "concurrent-w1",
-        2 => "concurrent-w2",
-        4 => "concurrent-w4",
-        8 => "concurrent-w8",
-        16 => "concurrent-w16",
-        32 => "concurrent-w32",
-        64 => "concurrent-w64",
-        _ => "concurrent-wN",
-    }
-}
-
-/// The §5 throughput-vs-workers sweep: one [`SCALED_CONC_DEMO`] row per
-/// worker count over a `shards`-way sharded working memory, all at the
-/// same `items`. Unlike [`bench_scaled_rows`], `items` is *not* clamped
-/// to [`SCALED_MAX_ITEMS`]: the sweep never runs the tuple-at-a-time
+/// The §5 throughput-vs-workers sweep (workload `concurrent-workers`):
+/// one [`SCALED_CONC_DEMO`] row per worker count over a `shards`-way
+/// sharded working memory, all at the same `items`. Unlike
+/// [`bench_scaled_snapshot`], `items` is *not* clamped to
+/// [`SCALED_MAX_ITEMS`]: the sweep never runs the tuple-at-a-time
 /// baselines, and its whole point is the 100k-WME scale where a single
 /// lock table used to be the ceiling. Every row must commit exactly
 /// [`scaled_fired`]`(items)` transactions regardless of worker count.
-pub fn bench_workers_rows(items: i64, workers: &[usize], shards: usize) -> Vec<BenchRow> {
-    workers
-        .iter()
-        .map(|&w| scaled_concurrent_row(concurrent_worker_label(w), items, w, shards, false))
-        .collect()
-}
-
-/// Render [`bench_workers_rows`] over [`SCALED_WORKER_SWEEP`] as a
-/// `sellis88-bench/v1` document (workload `concurrent-workers`).
-pub fn bench_workers_snapshot(items: i64, shards: usize) -> String {
-    snapshot_json(
-        "concurrent-workers",
+pub fn bench_workers_snapshot(items: i64, workers: &[usize], shards: usize) -> Snapshot {
+    Snapshot {
+        workload: "concurrent-workers",
         items,
-        &bench_workers_rows(items, &SCALED_WORKER_SWEEP, shards),
-    )
+        shards,
+        rows: concurrent_rows(items, workers, shards, false),
+    }
 }
 
-/// Run the scaled skewed-join workload at `items` on every engine in
-/// set-oriented mode, plus the COND engine with its σ-binding pattern
-/// index on (`cond-indexed`) and tuple-at-a-time nested-loop baselines
-/// of the query and marker engines (`query-nl`, `marker-nl`), all
-/// measured in the same run, same machine, same `items`. The historical
-/// `cond` row pins the index off so it stays comparable across
-/// snapshots. Three §5 rows (`concurrent-w1`, `concurrent-w4`,
-/// `concurrent-w16`) run the consuming variant of the same skew under
-/// simulated I/O latency with 1, 4, and 16 workers over the default
-/// 16-way sharded lock manager — same fired count, diverging wall
-/// clock. A final
-/// `query-paged` row reruns the Query engine over file-backed pages
-/// with a [`SCALED_PAGED_POOL`]-frame buffer pool (§3.2), so its page
-/// counters are live and its `fired` must match the in-memory rows.
-pub fn bench_scaled_rows(items: i64) -> Vec<BenchRow> {
-    bench_scaled_rows_with(items, false)
-}
-
-/// [`bench_scaled_rows`] with an optional profiled re-run per row. The
-/// timed pass always runs profiler-off so `wall_ns` stays comparable
-/// with unprofiled snapshots; the re-run fills `profile`,
-/// `prof_wall_ns`, and `alloc_bytes`.
-pub fn bench_scaled_rows_with(items: i64, profiled: bool) -> Vec<BenchRow> {
+/// The scaled skewed-join workload at `items` (workload `scaled-skew`),
+/// every row measured in the same run, on the same machine:
+/// - every engine in set-oriented mode, labelled by engine;
+/// - tuple-at-a-time nested-loop baselines of the query and marker
+///   engines (`query-nl`, `marker-nl`);
+/// - three §5 rows (`concurrent-w1`, `concurrent-w4`, `concurrent-w16`)
+///   running the consuming variant of the same skew under simulated
+///   I/O latency over the default 16-way sharded lock manager — same
+///   fired count, diverging wall clock;
+/// - `query-paged`, the Query engine over file-backed pages with a
+///   [`SCALED_PAGED_POOL`]-frame buffer pool (§3.2), so its page counters
+///   are live and its `fired` must match the in-memory rows.
+pub fn bench_scaled_snapshot(items: i64, profiled: bool) -> Snapshot {
     let items = items.clamp(1, SCALED_MAX_ITEMS);
+    let shards = relstore::DEFAULT_LOCK_SHARDS;
     let mut rows: Vec<BenchRow> = EngineKind::ALL
         .iter()
-        .map(|&kind| {
-            let indexed = kind != EngineKind::Cond;
-            scaled_row(kind.label(), kind, items, true, indexed, profiled)
-        })
+        .map(|&kind| measure(kind.label(), profiled, || scaled_pass(kind, items, true)))
         .collect();
-    rows.push(scaled_row(
-        "cond-indexed",
-        EngineKind::Cond,
-        items,
-        true,
-        true,
-        profiled,
-    ));
-    rows.push(scaled_row(
-        "query-nl",
-        EngineKind::Query,
-        items,
-        false,
-        true,
-        profiled,
-    ));
-    rows.push(scaled_row(
-        "marker-nl",
-        EngineKind::Marker,
-        items,
-        false,
-        true,
-        profiled,
-    ));
-    let shards = relstore::DEFAULT_LOCK_SHARDS;
-    rows.push(scaled_concurrent_row(
-        "concurrent-w1",
-        items,
-        1,
-        shards,
-        profiled,
-    ));
-    rows.push(scaled_concurrent_row(
-        "concurrent-w4",
-        items,
-        4,
-        shards,
-        profiled,
-    ));
-    rows.push(scaled_concurrent_row(
-        "concurrent-w16",
-        items,
-        16,
-        shards,
-        profiled,
-    ));
-    rows.push(scaled_paged_row("query-paged", items, profiled));
-    rows
-}
-
-fn snapshot_json(workload: &str, items: i64, rows: &[BenchRow]) -> String {
-    let mut engines = Arr::new();
-    for row in rows {
-        engines = engines.raw(
-            &Obj::new()
-                .str("engine", row.engine)
-                .u64("wall_ns", row.wall_ns)
-                .u64("fired", row.fired)
-                .u64("logical_io", row.logical_io)
-                .u64("match_entries", row.match_entries)
-                .u64("match_bytes", row.match_bytes)
-                .u64("pattern_probes", row.pattern_probes)
-                .u64("pattern_scanned", row.pattern_scanned)
-                .u64("page_reads", row.page_reads)
-                .u64("page_writes", row.page_writes)
-                .u64("pool_hits", row.pool_hits)
-                .u64("pool_evictions", row.pool_evictions)
-                .u64("lock_waits", row.lock_waits)
-                .u64("lock_wait_ns", row.lock_wait_ns)
-                .raw("lock_shards", &{
-                    let mut ls = Arr::new();
-                    for &(shard, waits, wait_ns) in &row.lock_shards {
-                        ls = ls.raw(
-                            &Obj::new()
-                                .u64("shard", u64::from(shard))
-                                .u64("waits", waits)
-                                .u64("wait_ns", wait_ns)
-                                .finish(),
-                        );
-                    }
-                    ls.finish()
-                })
-                .u64("alloc_bytes", row.alloc_bytes)
-                .raw("hotspots", &{
-                    let mut hs = Arr::new();
-                    for h in row.hotspots(3) {
-                        hs = hs.raw(&h.to_json());
-                    }
-                    hs.finish()
-                })
-                .finish(),
-        );
+    for kind in [EngineKind::Query, EngineKind::Marker] {
+        rows.push(measure(format!("{}-nl", kind.label()), profiled, || {
+            scaled_pass(kind, items, false)
+        }));
     }
-    Obj::new()
-        .str("schema", BENCH_SCHEMA)
-        .str("workload", workload)
-        .u64("items", items as u64)
-        .raw("engines", &engines.finish())
-        .finish()
+    rows.extend(concurrent_rows(items, &[1, 4, 16], shards, profiled));
+    rows.push(measure("query-paged", profiled, || {
+        let start = Instant::now();
+        let (exec, fired) = scaled_paged_run(items, SCALED_PAGED_POOL);
+        Pass::of(exec.engine(), start, fired)
+    }));
+    Snapshot {
+        workload: "scaled-skew",
+        items,
+        shards,
+        rows,
+    }
 }
 
-/// Render [`bench_scaled_rows`] as a `sellis88-bench/v1` document
-/// (workload `scaled-skew`).
-pub fn bench_scaled_snapshot(items: i64) -> String {
-    let items = items.clamp(1, SCALED_MAX_ITEMS);
-    snapshot_json("scaled-skew", items, &bench_scaled_rows_with(items, true))
-}
-
-/// Render [`bench_rows`] as the `sellis88-bench/v1` JSON document.
-pub fn bench_snapshot() -> String {
-    snapshot_json("obs-demo", OBS_ITEMS, &bench_rows_with(true))
+impl Snapshot {
+    /// Render as one `sellis88-bench/v1` JSON document.
+    pub fn to_json(&self) -> String {
+        let mut engines = Arr::new();
+        for row in &self.rows {
+            engines = engines.raw(
+                &Obj::new()
+                    .str("engine", &row.engine)
+                    .u64("wall_ns", row.wall_ns)
+                    .u64("fired", row.fired)
+                    .u64("logical_io", row.logical_io)
+                    .u64("match_entries", row.match_entries)
+                    .u64("match_bytes", row.match_bytes)
+                    .u64("pattern_probes", row.pattern_probes)
+                    .u64("pattern_scanned", row.pattern_scanned)
+                    .u64("page_reads", row.page_reads)
+                    .u64("page_writes", row.page_writes)
+                    .u64("pool_hits", row.pool_hits)
+                    .u64("pool_evictions", row.pool_evictions)
+                    .u64("lock_waits", row.lock_waits)
+                    .u64("lock_wait_ns", row.lock_wait_ns)
+                    .raw("lock_shards", &{
+                        let mut ls = Arr::new();
+                        for &(shard, waits, wait_ns) in &row.lock_shards {
+                            ls = ls.raw(
+                                &Obj::new()
+                                    .u64("shard", u64::from(shard))
+                                    .u64("waits", waits)
+                                    .u64("wait_ns", wait_ns)
+                                    .finish(),
+                            );
+                        }
+                        ls.finish()
+                    })
+                    .u64("alloc_bytes", row.alloc_bytes)
+                    .raw("hotspots", &{
+                        let mut hs = Arr::new();
+                        for h in row.hotspots(3) {
+                            hs = hs.raw(&h.to_json());
+                        }
+                        hs.finish()
+                    })
+                    .finish(),
+            );
+        }
+        Obj::new()
+            .str("schema", BENCH_SCHEMA)
+            .str("workload", self.workload)
+            .u64("items", self.items as u64)
+            .raw("engines", &engines.finish())
+            .finish()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::invariants;
+
+    fn labels(snap: &Snapshot) -> Vec<&str> {
+        snap.rows.iter().map(|r| r.engine.as_str()).collect()
+    }
 
     #[test]
-    fn rows_cover_every_engine_with_equal_fired_counts() {
-        let rows = bench_rows();
-        assert_eq!(rows.len(), 5);
-        for row in &rows {
-            assert_eq!(row.fired, 2 * OBS_ITEMS as u64, "{}", row.engine);
+    fn demo_rows_cover_every_engine_and_hold_the_invariants() {
+        let snap = bench_snapshot(false);
+        assert_eq!(
+            labels(&snap),
+            ["rete", "db-rete", "query", "cond", "marker"]
+        );
+        assert_eq!(invariants(&snap), Vec::<String>::new());
+        for row in &snap.rows {
             assert!(row.logical_io > 0, "{}", row.engine);
         }
     }
 
     #[test]
-    fn scaled_rows_agree_on_fired_and_batching_beats_nested_loop() {
-        let items = 192;
-        let rows = bench_scaled_rows(items);
-        assert_eq!(
-            rows.len(),
-            12,
-            "5 engines + cond-indexed + 2 nested-loop baselines + 3 concurrent + query-paged"
-        );
-        let expect = scaled_fired(items);
-        assert!(expect > 0);
-        for row in &rows {
-            assert_eq!(row.fired, expect, "{}", row.engine);
-        }
-        let find = |label: &str| {
-            rows.iter()
-                .find(|r| r.engine == label)
-                .unwrap_or_else(|| panic!("{label} row"))
-        };
-        let io = |label: &str| find(label).logical_io;
-        // Logical I/O is deterministic (unlike wall time under test
-        // parallelism): tuple-at-a-time loading re-evaluates per change,
-        // so even at this small scale the batched engines must read far
-        // fewer tuples. The committed BENCH_batch.json checks wall too.
-        assert!(
-            io("query-nl") >= 2 * io("query"),
-            "query-nl {} vs query {}",
-            io("query-nl"),
-            io("query")
-        );
-        assert!(
-            io("marker-nl") >= 2 * io("marker"),
-            "marker-nl {} vs marker {}",
-            io("marker-nl"),
-            io("marker")
-        );
-        // The σ-binding pattern index: probes replace full group scans,
-        // so the indexed COND run examines far fewer patterns (and reads
-        // far fewer tuples) than the pinned full-scan `cond` baseline,
-        // while firing identically.
-        let cond = find("cond");
-        let indexed = find("cond-indexed");
-        assert_eq!(cond.pattern_probes, 0, "cond pins the index off");
-        assert!(indexed.pattern_probes > 0, "cond-indexed probes");
-        assert!(
-            indexed.pattern_scanned <= cond.pattern_scanned,
-            "indexed scanned {} vs scan {}",
-            indexed.pattern_scanned,
-            cond.pattern_scanned
-        );
-        assert!(
-            cond.logical_io >= 2 * indexed.logical_io,
-            "cond {} vs cond-indexed {}",
-            cond.logical_io,
-            indexed.logical_io
-        );
-        // §5 rows: worker count changes wall clock (checked against the
-        // committed snapshot and in CI, where sleeps aren't contended by
-        // the test harness) and may add re-select I/O when transactions
-        // race, but never the set of committed firings.
-        assert_eq!(
-            find("concurrent-w1").fired,
-            find("concurrent-w4").fired,
-            "same committed transactions regardless of workers"
-        );
-        assert_eq!(
-            find("concurrent-w1").fired,
-            find("concurrent-w16").fired,
-            "same committed transactions at 16 workers too"
-        );
-        // The paged row runs the same join over file-backed pages with a
-        // pool far smaller than the working set: it must actually fault,
-        // write back, and evict — and still fire identically (checked by
-        // the loop above). In-memory rows never touch the page layer.
-        let paged = find("query-paged");
-        assert!(paged.pool_evictions > 0, "pool smaller than working set");
-        assert!(paged.page_reads > 0, "evicted pages faulted back in");
-        assert!(paged.page_writes > 0, "dirty evictions hit the page file");
-        for row in &rows {
-            if row.engine != "query-paged" {
-                assert_eq!(row.page_reads, 0, "{} is in-memory", row.engine);
-                assert_eq!(row.pool_evictions, 0, "{} is in-memory", row.engine);
-            }
-        }
-    }
-
-    #[test]
     fn scaled_snapshot_schema_matches_v1() {
-        let json = bench_scaled_snapshot(96);
+        let json = bench_scaled_snapshot(96, true).to_json();
         assert!(
             json.starts_with("{\"schema\":\"sellis88-bench/v1\""),
             "{json}"
         );
         assert!(json.contains("\"workload\":\"scaled-skew\""), "{json}");
         assert!(json.contains("\"items\":96"), "{json}");
-        for engine in [
-            "query",
-            "cond-indexed",
-            "query-nl",
-            "marker-nl",
-            "query-paged",
-        ] {
+        for engine in ["query", "cond", "query-nl", "marker-nl", "query-paged"] {
             assert!(
                 json.contains(&format!("{{\"engine\":\"{engine}\",\"wall_ns\":")),
                 "{json}"
@@ -825,7 +602,7 @@ mod tests {
 
     #[test]
     fn snapshot_schema_is_stable() {
-        let json = bench_snapshot();
+        let json = bench_snapshot(true).to_json();
         assert!(
             json.starts_with("{\"schema\":\"sellis88-bench/v1\""),
             "{json}"
@@ -859,16 +636,10 @@ mod tests {
 
     #[test]
     fn workers_sweep_rows_agree_on_fired() {
-        let items = 384;
-        let rows = bench_workers_rows(items, &[1, 4], 4);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].engine, "concurrent-w1");
-        assert_eq!(rows[1].engine, "concurrent-w4");
-        let expect = scaled_fired(items);
-        for row in &rows {
-            assert_eq!(row.fired, expect, "{}", row.engine);
-        }
-        let json = snapshot_json("concurrent-workers", items, &rows);
+        let snap = bench_workers_snapshot(384, &[1, 4], 4);
+        assert_eq!(labels(&snap), ["concurrent-w1", "concurrent-w4"]);
+        assert_eq!(invariants(&snap), Vec::<String>::new());
+        let json = snap.to_json();
         assert!(
             json.contains("\"workload\":\"concurrent-workers\""),
             "{json}"

@@ -437,28 +437,23 @@ fn obs(trace: Option<&str>, report: Option<&str>) {
     }
 }
 
-fn bench_json(path: &str, items: Option<i64>, history: &str) {
-    let json = match items {
-        // --items switches the snapshot to the scaled skewed-join
-        // workload, which also measures the query/marker nested-loop
-        // baselines in the same run.
-        Some(n) => bench::bench_scaled_snapshot(n),
-        None => bench::bench_snapshot(),
-    };
+/// Write `snap` to `path`, append it as one line of the `history`
+/// time-series (what `--bench-check` regresses against), then run the
+/// bench check on it: exit 1 on a failure, after both files are written
+/// so the failing snapshot can be inspected.
+fn write_snapshot(path: &str, snap: &bench::Snapshot, history: &str) {
+    let mut json = snap.to_json();
     if let Err(e) = std::fs::write(path, &json) {
         eprintln!("error: cannot write {path}: {e}");
         std::process::exit(1);
     }
     println!("bench snapshot ({}) -> {path}", bench::BENCH_SCHEMA);
-    // Every snapshot also lands as one line of the append-only
-    // time-series, which is what --bench-check regresses against.
-    let mut line = json;
-    line.push('\n');
+    json.push('\n');
     let appended = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(history)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
+        .and_then(|mut f| std::io::Write::write_all(&mut f, json.as_bytes()));
     match appended {
         Ok(()) => println!("history row -> {history}"),
         Err(e) => {
@@ -466,40 +461,42 @@ fn bench_json(path: &str, items: Option<i64>, history: &str) {
             std::process::exit(1);
         }
     }
+    let failures = bench::check(snap);
+    if !failures.is_empty() {
+        eprintln!("bench check FAILED on {path}:");
+        for m in failures {
+            eprintln!("  {m}");
+        }
+        std::process::exit(1);
+    }
+    println!("bench check OK: {} @ {} items", snap.workload, snap.items);
+}
+
+fn bench_json(path: &str, items: Option<i64>, history: &str) {
+    let snap = match items {
+        // --items switches the snapshot to the scaled skewed-join
+        // workload, which also measures the query/marker nested-loop
+        // baselines in the same run.
+        Some(n) => bench::bench_scaled_snapshot(n, true),
+        None => bench::bench_snapshot(true),
+    };
+    write_snapshot(path, &snap, history);
 }
 
 fn bench_workers(path: &str, items: Option<i64>, shards: Option<usize>, history: &str) {
     let items = items.unwrap_or(WORKERS_SWEEP_ITEMS);
     let shards = shards.unwrap_or(relstore::DEFAULT_LOCK_SHARDS);
-    let json = bench::bench_workers_snapshot(items, shards);
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
+    let snap = bench::bench_workers_snapshot(items, &bench::SCALED_WORKER_SWEEP, shards);
     println!(
-        "throughput-vs-workers sweep ({} items, {shards} lock shards, workers {:?}) -> {path}",
-        items,
+        "throughput-vs-workers sweep ({items} items, {shards} lock shards, workers {:?})",
         bench::SCALED_WORKER_SWEEP
     );
-    let mut line = json;
-    line.push('\n');
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(history)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    match appended {
-        Ok(()) => println!("history row -> {history}"),
-        Err(e) => {
-            eprintln!("error: cannot append {history}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_snapshot(path, &snap, history);
 }
 
 fn profile(path: &str, items: Option<i64>, history: &str) {
     let items = items.unwrap_or(PROFILE_DEFAULT_ITEMS);
-    let rows = bench::bench_scaled_rows_with(items, true);
+    let rows = bench::bench_scaled_snapshot(items, true).rows;
     if let Err(e) = std::fs::write(path, bench::folded_stacks(&rows)) {
         eprintln!("error: cannot write {path}: {e}");
         std::process::exit(1);
@@ -677,22 +674,24 @@ fn usage() {
     println!("\nflags:");
     println!("  --trace FILE       stream JSONL events of the instrumented run to FILE");
     println!("  --report FILE      write the instrumented run's JSON report to FILE");
-    println!("  --bench-json FILE  write a per-engine benchmark snapshot (sellis88-bench/v1)");
-    println!("                     and append it as one line of the history time-series");
+    println!("  --bench-json FILE  write a per-engine benchmark snapshot (sellis88-bench/v1),");
+    println!("                     append it as one line of the history time-series, then");
+    println!("                     run the bench check on it (exit 1 on a failure)");
     println!("  --items N          with --bench-json: run the scaled skewed-join workload at");
     println!(
         "                     N items (clamped to {}) instead of the obs demo; adds",
         bench::SCALED_MAX_ITEMS
     );
     println!("                     query-nl/marker-nl nested-loop baseline rows, the §5");
-    println!("                     concurrent-w1/concurrent-w4 worker-scaling rows, and a");
+    println!("                     concurrent-w1/w4/w16 worker-scaling rows, and a");
     println!("                     query-paged row over file-backed pages (§3.2)");
     println!("  --bench-workers FILE  write the §5 throughput-vs-workers sweep (workload");
     println!(
         "                     concurrent-workers; workers {:?}, {WORKERS_SWEEP_ITEMS} items or --items N,",
         bench::SCALED_WORKER_SWEEP
     );
-    println!("                     unclamped) and append it as one history line");
+    println!("                     unclamped), append it as one history line, and run the");
+    println!("                     bench check on it (exit 1 on a failure)");
     println!(
         "  --shards N         with --bench-workers: lock-manager shard count (default {})",
         relstore::DEFAULT_LOCK_SHARDS
@@ -716,9 +715,11 @@ fn usage() {
     println!("                     prints per-engine attribution and top self-time spans");
     println!("  --bench-check      re-run the last entry per workload of the history file and");
     println!("                     fail (exit 1) on a >25% wall-time or >2x allocation");
-    println!("                     regression per engine, a blown COND gap gate, or a");
-    println!("                     concurrent-w16 run under 2x faster than concurrent-w4");
-    println!("  --history FILE     history file for --bench-json/--bench-check");
+    println!("                     regression per engine, or a failed bench check: a row");
+    println!("                     invariant (fired counts, nested-loop I/O, pattern-index");
+    println!("                     probes, paged faults, lock shards) or a same-run wall gate");
+    println!("                     (cond within 25x query; concurrent-w1 >= 1.5x w4 >= 2x w16)");
+    println!("  --history FILE     history file for --bench-json/--bench-workers/--bench-check");
     println!("                     (default {HISTORY_DEFAULT})");
     println!("  --record FILE      run the demo workload with the flight recorder on and write");
     println!("                     a sellis88-journal/v1 JSONL journal (self-contained: program,");

@@ -12,15 +12,13 @@ pub mod profile;
 pub mod recorder;
 
 pub use bench_json::{
-    bench_rows, bench_rows_with, bench_scaled_rows, bench_scaled_rows_with, bench_scaled_snapshot,
-    bench_snapshot, bench_workers_rows, bench_workers_snapshot, concurrent_worker_label,
-    paged_smoke, scaled_fired, BenchRow, BENCH_SCHEMA, SCALED_MAX_ITEMS, SCALED_PAGED_POOL,
-    SCALED_WORKER_SWEEP,
+    bench_scaled_snapshot, bench_snapshot, bench_workers_snapshot, paged_smoke, scaled_fired,
+    BenchRow, Snapshot, BENCH_SCHEMA, SCALED_MAX_ITEMS, SCALED_PAGED_POOL, SCALED_WORKER_SWEEP,
 };
 pub use experiments::*;
 pub use obs_run::{explain_run, observability_run, ExplainRun, ObsRun};
 pub use profile::{
-    attribution_table, bench_check, concurrent_gate, folded_stacks, parse_history_last,
+    attribution_table, bench_check, check, folded_stacks, parse_history_last,
     parse_history_workloads,
 };
 pub use recorder::{

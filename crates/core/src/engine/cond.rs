@@ -217,9 +217,7 @@ struct Contribution {
 /// either under its bound value (`by_binding`) or on the site's unbound
 /// list. Any single site therefore partitions the group, so a probe on
 /// one site yields a sound candidate superset; lookups pick the
-/// narrowest available site. The index is always maintained; whether
-/// lookups probe it or scan every slot is the engine's
-/// `pattern_index` switch.
+/// narrowest available site.
 #[derive(Debug)]
 struct PatternGroup {
     /// The CE's hash sites, `(vid, attr)` — see [`RuleInfo::hash_sites`].
@@ -527,11 +525,6 @@ pub struct CondEngine {
     inst: InstStore,
     conflict: ConflictSet,
     parallel: bool,
-    /// Probe-vs-scan selector for pattern-group lookups. The σ-binding
-    /// hash index is always maintained; `false` restores the full group
-    /// scan (the historical `cond` bench row, and the E10-style
-    /// ablation baseline).
-    pattern_index: bool,
     /// Index probes served (atomic: parallel propagation counts through
     /// `&self`).
     pat_probes: AtomicU64,
@@ -608,7 +601,6 @@ impl CondEngine {
             inst: InstStore::new(),
             conflict: ConflictSet::new(),
             parallel: false,
-            pattern_index: true,
             pat_probes: AtomicU64::new(0),
             pat_scanned: AtomicU64::new(0),
             batch: true,
@@ -671,8 +663,8 @@ impl CondEngine {
     }
 
     /// Candidate pattern slots of a group for a WM tuple: an index
-    /// probe on the narrowest hash site when enabled, else every live
-    /// slot. The second value says whether the index served it.
+    /// probe on the narrowest hash site, else every live slot. The
+    /// second value says whether the index served it.
     ///
     /// Scan-fallback audit (the `pattern_scanned` remainder with the
     /// index on): `probe_tuple` returns `None` only for CEs with no
@@ -681,7 +673,7 @@ impl CondEngine {
     /// site can partition. Indexing those would need a range structure
     /// over `extra`; the groups are tiny, so the scan is irreducible.
     fn tuple_candidates<'g>(&self, group: &'g PatternGroup, tuple: &Tuple) -> (Cands<'g>, bool) {
-        if self.pattern_index {
+        {
             obs::prof_span!("probe");
             if let Some(c) = group.probe_tuple(tuple) {
                 return (c, true);
@@ -704,7 +696,7 @@ impl CondEngine {
         group: &'g PatternGroup,
         bound: &[(usize, Value)],
     ) -> (Cands<'g>, bool) {
-        if self.pattern_index {
+        {
             obs::prof_span!("probe");
             if let Some(c) = group.probe_bound(bound) {
                 return (c, true);
@@ -731,7 +723,7 @@ impl CondEngine {
         group: &'g PatternGroup,
     ) -> (Cands<'g>, bool) {
         let constraints = &self.infos[c.rule].var_constraints[c.k];
-        if !self.pattern_index || constraints.is_empty() {
+        if constraints.is_empty() {
             obs::prof_span!("scan");
             return (Cands::All(&group.arena), false);
         }
@@ -763,38 +755,6 @@ impl CondEngine {
             .flat_map(|s| s.groups.values())
             .map(PatternGroup::len)
             .sum()
-    }
-
-    /// Canonical dump of every live pattern — σ, derived constraints,
-    /// and the full support multiset (supporter keys sorted within each
-    /// RCE counter), one sorted line per pattern. The exact-equality
-    /// oracle the property tests compare across access paths (indexed
-    /// vs scanned) and representations: two engines agree iff their
-    /// pattern stores are identical down to individual supporters.
-    pub fn support_snapshot(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (class, store) in self.stores.iter().enumerate() {
-            for (&(rid, cen), g) in &store.groups {
-                for s in g.arena.iter_live() {
-                    let p = g.pat(s);
-                    let sup: Vec<Vec<String>> = p
-                        .support
-                        .iter()
-                        .map(|ss| {
-                            let mut v: Vec<String> = ss.iter().map(|k| format!("{k:?}")).collect();
-                            v.sort();
-                            v
-                        })
-                        .collect();
-                    out.push(format!(
-                        "class={class} rule={rid} cen={cen} sigma={:?} extra={:?} support={sup:?}",
-                        p.sigma, p.extra
-                    ));
-                }
-            }
-        }
-        out.sort();
-        out
     }
 
     /// Render a class's COND relation as the paper prints it (§4.2.1 /
@@ -1415,13 +1375,9 @@ impl CondEngine {
             };
             let negated = self.rule(rid).ces[cen].negated;
             if negated {
-                // Only the alpha template matters; with the pattern
-                // index on, the group's patterns are never read here.
-                self.charge_io(if self.pattern_index {
-                    1
-                } else {
-                    group.len() as u64
-                });
+                // Only the alpha template matters; the group's patterns
+                // are never read here.
+                self.charge_io(1);
                 if self.rule(rid).ces[cen].alpha.matches(tuple) {
                     blockers.push((rid, cen));
                 }
@@ -1579,19 +1535,10 @@ impl MatchEngine for CondEngine {
             self.name(),
             crate::engine::OrderPolicy::Textual,
         );
-        let mode = if self.pattern_index {
-            "indexed"
-        } else {
-            "scan"
-        };
         for plan in &mut plans {
-            plan.pattern_store = Some(mode);
+            plan.pattern_store = Some("indexed");
         }
         plans
-    }
-
-    fn set_pattern_index(&mut self, on: bool) {
-        self.pattern_index = on;
     }
 
     fn pattern_io(&self) -> Option<(u64, u64)> {
@@ -2064,45 +2011,82 @@ mod tests {
         assert_eq!(e.conflict_set().len(), 1);
     }
 
-    /// The σ-binding index is a pure access-path change: probing and
-    /// scanning the same trace must agree on conflict sets, pattern
-    /// counts, and the rendered COND tables — including negated CEs and
-    /// removals.
-    #[test]
-    fn pattern_index_matches_scan_on_example_trace() {
-        let mut indexed = example4();
-        let mut scan = example4();
-        scan.set_pattern_index(false);
-        let (a, b, c) = (ClassId(0), ClassId(1), ClassId(2));
-        let ops: Vec<(bool, ClassId, Tuple)> = vec![
-            (true, b, tuple![4, 5, "b"]),
-            (true, c, tuple!["c", 7, 8]),
-            (true, a, tuple![4, "a", 8]),
-            (true, b, tuple![4, 7, "b"]),
-            (false, c, tuple!["c", 7, 8]),
-            (true, c, tuple!["c", 7, 8]),
-            (false, b, tuple![4, 7, "b"]),
-        ];
-        for (ins, cl, t) in ops {
-            if ins {
-                indexed.insert(cl, t.clone());
-                scan.insert(cl, t);
-            } else {
-                indexed.remove(cl, &t);
-                scan.remove(cl, &t);
+    /// σ code → binding: 0 leaves the variable unbound.
+    fn bind(code: i64) -> Option<Value> {
+        (code != 0).then(|| Value::from(code))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 128, ..Default::default() })]
+
+        /// The σ-binding index never loses a pattern: over random inserts
+        /// and removals, every `probe_tuple` / `probe_bound` candidate list
+        /// names only live slots and covers every live slot whose σ agrees
+        /// with the tuple (or the binding) at each hash site it constrains.
+        /// Variables 0 and 2 are hash sites on attributes 0 and 1;
+        /// variable 1 is not a site, so the probes must ignore it.
+        #[test]
+        fn probes_cover_every_agreeing_pattern(
+            ops in proptest::collection::vec(
+                (0u8..4, proptest::collection::vec(0i64..4, 3..4), 0usize..64),
+                1..120,
+            ),
+            probes in proptest::collection::vec(
+                (
+                    proptest::collection::vec(1i64..4, 0..3),
+                    proptest::collection::vec((0usize..3, 1i64..4), 0..3),
+                ),
+                1..8,
+            ),
+        ) {
+            let hash_sites = vec![(0, 0), (2, 1)];
+            let mut interner = IdentityInterner::new();
+            let original = interner.intern(&[None, None, None], &[]);
+            let mut g = PatternGroup::new(hash_sites.clone(), 3, 2, original);
+            g.insert(original, &[None, None, None], &[]);
+            for (kind, codes, pick) in ops {
+                let live: Vec<u32> = g.arena.iter_live().collect();
+                if kind == 3 && !live.is_empty() {
+                    g.remove(live[pick % live.len()]);
+                    continue;
+                }
+                let sigma: Vec<Option<Value>> = codes.into_iter().map(bind).collect();
+                let id = interner.intern(&sigma, &[]);
+                if g.slot_of(id).is_none() {
+                    g.insert(id, &sigma, &[]);
+                }
+                for (values, bound) in &probes {
+                    let tuple = Tuple::new(values.iter().map(|&v| Value::from(v)).collect::<Vec<_>>());
+                    let mut bound: Vec<(usize, Value)> =
+                        bound.iter().map(|&(vid, v)| (vid, Value::from(v))).collect();
+                    bound.dedup_by_key(|(vid, _)| *vid);
+                    let check = |cands: Option<Cands<'_>>, agrees: &dyn Fn(&[Option<Value>]) -> bool| {
+                        let live: BTreeSet<u32> = g.arena.iter_live().collect();
+                        let got: BTreeSet<u32> = match cands {
+                            Some(c) => c.iter().collect(),
+                            None => live.clone(),
+                        };
+                        assert!(got.is_subset(&live), "candidates {got:?} include dead slots");
+                        for &slot in &live {
+                            if agrees(g.arena.sigma(slot)) {
+                                assert!(got.contains(&slot), "slot {slot} missed: {:?}", g.arena.sigma(slot));
+                            }
+                        }
+                    };
+                    check(g.probe_tuple(&tuple), &|sigma| {
+                        hash_sites.iter().all(|&(vid, attr)| match (&sigma[vid], tuple.get(attr)) {
+                            (Some(b), Some(v)) => b == v,
+                            _ => true,
+                        })
+                    });
+                    check(g.probe_bound(&bound), &|sigma| {
+                        bound.iter().all(|(vid, v)| {
+                            g.site_of(*vid).is_none() || sigma[*vid].as_ref().is_none_or(|b| b == v)
+                        })
+                    });
+                }
             }
         }
-        assert_eq!(
-            indexed.conflict_set().sorted(),
-            scan.conflict_set().sorted()
-        );
-        assert_eq!(indexed.pattern_count(), scan.pattern_count());
-        for class in [a, b, c] {
-            assert_eq!(indexed.render_cond(class), scan.render_cond(class));
-        }
-        let (probes, _) = indexed.pattern_io().unwrap();
-        assert!(probes > 0, "indexed run actually probed");
-        assert_eq!(scan.pattern_io().unwrap().0, 0, "scan run never probes");
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub struct MatchPlan {
     /// Instantiations the profiled evaluation produced.
     pub results: u64,
     /// How the engine's matching-pattern store is accessed, when it keeps
-    /// one: "indexed" (σ-binding hash probes) or "scan" (full group scan).
-    /// `None` for engines without a pattern store.
+    /// one: "indexed" (σ-binding hash probes). `None` for engines without
+    /// a pattern store.
     pub pattern_store: Option<&'static str>,
 }
 

@@ -191,11 +191,6 @@ pub trait MatchEngine: Send {
     /// strategy. Used by benchmarks to pin the nested-loop baseline.
     fn set_batching(&mut self, _on: bool) {}
 
-    /// Toggle the σ-binding hash index over matching patterns where the
-    /// engine keeps one (the COND engine). Default: no-op. Benchmarks pin
-    /// `false` to reproduce the historical full-scan baseline.
-    fn set_pattern_index(&mut self, _on: bool) {}
-
     /// `(probes, patterns_examined)` counters of the matching-pattern
     /// store, when the engine keeps one. `None` for engines without a
     /// pattern store.

@@ -1,7 +1,9 @@
-//! The COND engine's σ-binding pattern index is a pure access-path
-//! change: indexed probing and full group scans must agree on every
-//! observable — per-op conflict sets, the stored matching patterns, and
-//! fired sequences — over random programs with negated CEs and removals.
+//! The COND engine's σ-binding pattern index against an independent
+//! oracle: over random programs with negated CEs and removals, the
+//! indexed COND engine must agree with the recomputing query engine on
+//! the conflict set after every operation and on the final WM, while the
+//! index actually serves lookups. (That the probes never miss a pattern
+//! is a property test on the pattern group itself, in `engine/cond.rs`.)
 //!
 //! Also here: batched delta maintenance now traces, so the per-batch
 //! *net* conflict-delta effect must agree across all five engines (the
@@ -38,78 +40,53 @@ fn random_trace(seed: u64, ops: usize) -> (RuleGenConfig, Vec<Op>) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Indexed vs full-scan COND over a random insert/remove trace, with
-    /// the query engine as an independent oracle for the conflict set:
-    /// identical conflict sets after every operation, identical pattern
-    /// stores — down to individual support-set multisets — identical
-    /// final WM, and the index actually probed. Exercises the interned
-    /// σ-binding + arena representation end to end: both COND engines
-    /// share it, so any id-collision, slot-reuse, or withdraw bug shows
-    /// up as divergence from the recomputing query oracle or between the
-    /// two access paths.
+    /// COND vs the query oracle over a random insert/remove trace:
+    /// identical conflict sets after every operation, identical final WM,
+    /// and the pattern index actually probed. Exercises the interned
+    /// σ-binding + arena representation end to end, so any id-collision,
+    /// slot-reuse, or withdraw bug shows up as divergence from the
+    /// recomputing oracle.
     #[test]
-    fn indexed_cond_matches_scan(seed in 0u64..400, ops in 30usize..80) {
+    fn cond_matches_query_oracle(seed in 0u64..400, ops in 30usize..80) {
         let (cfg, trace) = random_trace(seed, ops);
         let rules = cfg.rules();
-        let mut indexed = CondEngine::new(ProductionDb::new(rules.clone()).unwrap());
-        let mut scan = CondEngine::new(ProductionDb::new(rules.clone()).unwrap());
-        scan.set_pattern_index(false);
+        let mut cond = CondEngine::new(ProductionDb::new(rules.clone()).unwrap());
         let mut oracle = make_engine(EngineKind::Query, ProductionDb::new(rules).unwrap());
         for (step, op) in trace.iter().enumerate() {
             match op {
                 Op::Insert(c, t) => {
-                    indexed.insert(ClassId(*c), t.clone());
-                    scan.insert(ClassId(*c), t.clone());
+                    cond.insert(ClassId(*c), t.clone());
                     oracle.insert(ClassId(*c), t.clone());
                 }
                 Op::Remove(c, t) => {
-                    indexed.remove(ClassId(*c), t);
-                    scan.remove(ClassId(*c), t);
+                    cond.remove(ClassId(*c), t);
                     oracle.remove(ClassId(*c), t);
                 }
             }
             prop_assert_eq!(
-                indexed.conflict_set().sorted(),
-                scan.conflict_set().sorted(),
-                "conflict sets diverge at step {}",
-                step
-            );
-            prop_assert_eq!(
-                indexed.conflict_set().sorted(),
+                cond.conflict_set().sorted(),
                 oracle.conflict_set().sorted(),
                 "cond diverges from the query oracle at step {}",
                 step
             );
         }
-        prop_assert_eq!(indexed.pattern_count(), scan.pattern_count());
-        // Exact pattern-store equality: σ, derived constraints, and the
-        // support multiset of every counter, supporter by supporter.
-        prop_assert_eq!(indexed.support_snapshot(), scan.support_snapshot());
         // Final WM: same live tuples in every class.
+        let wm = |e: &dyn MatchEngine, c: usize| {
+            let mut v: Vec<String> = e
+                .pdb()
+                .wm_scan(ClassId(c))
+                .unwrap()
+                .into_iter()
+                .map(|(_, t)| format!("{t:?}"))
+                .collect();
+            v.sort();
+            v
+        };
         for c in 0..cfg.classes {
-            let wm = |e: &CondEngine| {
-                let mut v: Vec<String> = e
-                    .pdb()
-                    .wm_scan(ClassId(c))
-                    .unwrap()
-                    .into_iter()
-                    .map(|(_, t)| format!("{t:?}"))
-                    .collect();
-                v.sort();
-                v
-            };
-            prop_assert_eq!(wm(&indexed), wm(&scan), "WM of class {} diverges", c);
-            prop_assert_eq!(
-                indexed.render_cond(ClassId(c)),
-                scan.render_cond(ClassId(c)),
-                "COND relation {} diverges",
-                c
-            );
+            prop_assert_eq!(wm(&cond, c), wm(oracle.as_ref(), c), "WM of class {} diverges", c);
         }
-        let (probes, _) = indexed.pattern_io().unwrap();
-        prop_assert!(probes > 0, "the indexed engine must actually probe");
-        let (scan_probes, _) = scan.pattern_io().unwrap();
-        prop_assert_eq!(scan_probes, 0, "the scan engine must not probe");
+        let (probes, _) = cond.pattern_io().unwrap();
+        prop_assert!(probes > 0, "the pattern index must actually probe");
     }
 }
 
